@@ -10,7 +10,8 @@ Output goes to stdout; diagnostics go to stderr.  `--format json` wraps
 every result in a schema-versioned object whose numbers are strings, so
 consumers never round an exact rational through a float.  Exit codes:
 0 success, 1 verification failure, 2 parse failure or bad prime,
-3 certificate failure, 4 ambiguity, 5 malformed region.
+3 certificate failure or exhausted digit budget, 4 ambiguity, 5 malformed
+region.
 
 Identical configuration and seed produce identical output bytes.
 `--threads` only fans out sampling batches; it never changes results.
@@ -19,12 +20,13 @@ Identical configuration and seed produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import haar, verify
-from .errors import AmbiguityError, CertificateError, RegionError
+from .errors import AmbiguityError, CertificateError, PrecisionExhausted, RegionError
 from .formats import (
     format_angles,
     format_matrix_json,
@@ -174,16 +176,23 @@ def _cmd_haar_sample(args) -> int:
     draws = haar.sample_so3_batch(
         ctx, args.seed, args.count, digits=args.precision, threads=args.threads
     )
-    lines = []
-    samples = []
-    for angles, rot in draws:
-        lines.append(format_angles(angles))
-        entry = {"angles": [format_number(a) for a in angles]}
-        if args.matrices:
-            lines.append(format_matrix_json(rot.mat))
-            entry["matrix"] = matrix_rows(rot.mat)
-        samples.append(entry)
-    _emit(args, "\n".join(lines), {"samples": samples})
+    # format only the output asked for; text formatting costs about a
+    # third of a draw
+    if args.format == "json":
+        samples = []
+        for angles, rot in draws:
+            entry = {"angles": [format_number(a) for a in angles]}
+            if args.matrices:
+                entry["matrix"] = matrix_rows(rot.mat)
+            samples.append(entry)
+        _emit(args, None, {"samples": samples})
+    else:
+        lines = []
+        for angles, rot in draws:
+            lines.append(format_angles(angles))
+            if args.matrices:
+                lines.append(format_matrix_json(rot.mat))
+        _emit(args, "\n".join(lines), None)
     return 0
 
 
@@ -201,6 +210,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, required=True, help="the odd prime p")
@@ -307,8 +317,10 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"so3p: {exc}", file=sys.stderr)
         return 2
+    except PrecisionExhausted as exc:
+        print(f"so3p: precision exhausted: {exc}", file=sys.stderr)
+        return 3
     except ArithmeticError as exc:
-        # precision exhaustion surfaces as a failed certificate
         print(f"so3p: certificate failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

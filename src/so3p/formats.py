@@ -2,12 +2,12 @@ r"""Textual and JSON literals shared by the command line.
 
 Number literals: a rational `a/b` or `a`, the token `inf`, or a
 capped-precision value `p^v * [d0,d1,...]` with base-p digits listed least
-significant first.  Angle triples are `a,b,c`.  Matrices travel as JSON
-arrays of row arrays whose entries are number literals (strings), so no
-consumer ever rounds them through floats.  Quaternions read
-`q0 + q1 i + q2 j + q3 k`.  Regions of the parameter line are unions like
-`zp,shell:2,ball:1/3,-1,tail:4`, where `ball:` consumes two comma tokens,
-its center and its level.
+significant first.  Angle triples are `a,b,c`, split on the commas outside
+digit lists.  Matrices travel as JSON arrays of row arrays whose entries
+are number literals (strings), so no consumer ever rounds them through
+floats.  Quaternions read `q0 + q1 i + q2 j + q3 k`.  Regions of the
+parameter line are unions like `zp,shell:2,ball:1/3,-1,tail:4`, where
+`ball:` consumes two comma tokens, its center and its level.
 
 Parsers raise ValueError on malformed numbers and RegionError on malformed
 regions; the CLI maps those onto its documented exit codes.
@@ -45,6 +45,7 @@ __all__ = [
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _PADIC = re.compile(r"^(\d+)\^([+-]?\d+)\s*\*\s*\[([0-9,\s]*)\]$")
+_ANGLE_SEP = re.compile(r",(?![^\[]*\])")  # a comma not inside [...]
 
 
 def parse_rational(token: str) -> Fraction:
@@ -98,7 +99,7 @@ def format_number(x) -> str:
 
 
 def parse_angles(text: str, p: int | None = None) -> Angles:
-    parts = text.strip().split(",")
+    parts = _ANGLE_SEP.split(text.strip())
     if len(parts) != 3:
         raise ValueError(f"an angle triple needs three entries: {text!r}")
     return Angles(*(parse_number(tok, p) for tok in parts))

@@ -156,18 +156,32 @@ class Mat:
         return tuple(sum((self.rows[i][k] * vec[k] for k in range(1, n)), self.rows[i][0] * vec[0]) for i in range(n))
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        if not isinstance(other, Mat):
+            return False
+        same = self._same_integer_form(other)
+        return self.rows == other.rows if same is None else same
 
     def __hash__(self):
         return hash(self.rows)
 
     def agrees(self, other: "Mat") -> bool:
         """Entrywise values_agree; exact equality unless capped precision is involved."""
+        same = self._same_integer_form(other)
+        if same is not None:
+            return same
         if self.n != other.n:
             return False
         return all(
             values_agree(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
+
+    def _same_integer_form(self, other: "Mat"):
+        # Both integer forms are reduced with D > 0, which makes (N, D)
+        # canonical: equal Fraction matrices have equal forms.
+        a, b = self.integer_form(), other.integer_form()
+        if a is None or b is None:
+            return None
+        return a == b
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)

@@ -399,6 +399,24 @@ class PadicApprox:
 
     __rmul__ = __mul__
 
+    def scaled(self, f) -> "PadicApprox":
+        """self * f for an exact rational f, keeping every known digit.
+
+        ``self * f`` first rounds f to this value's absolute precision, so
+        a factor of positive valuation costs relative digits; an exact
+        factor carries no error of its own and the relative count n stays.
+        """
+        f = Fraction(f)
+        if f == 0:
+            return PadicApprox.zero(self.p)
+        vf = valuation(f, self.p)
+        if self.is_zero:
+            return PadicApprox.zero(self.p, self.val + vf)
+        unit = f / Fraction(self.p) ** vf
+        mod = self.p**self.n
+        mant = self.mant * unit.numerator * pow(unit.denominator, -1, mod) % mod
+        return PadicApprox(p=self.p, val=self.val + vf, mant=mant, n=self.n)
+
     def __truediv__(self, other):
         try:
             other = self._coerce(other)

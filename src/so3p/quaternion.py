@@ -1,9 +1,10 @@
 r"""The definite quaternion algebra H_p = (v, -p | Q_p).
 
 Basis (1, i, j, k) with ``i**2 = v``, ``j**2 = -p``, ``ji = -ij`` and
-``k = ij``.  Every further product is derived, not postulated: the
-structure-constant table is built once per prime by normal-ordering words
-in i and j, and products expand through that table.
+``k = ij``.  Products use the explicit formula those relations give, on
+integer coordinates over one common denominator.  ``basis_table``
+derives the structure constants independently, by normal-ordering words
+in i and j, and the tests check the product formula against it.
 
 The reduced norm ``nrd = q0^2 - v q1^2 + p q2^2 - vp q3^2`` is anisotropic,
 so H_p is a division algebra; conjugation by a nonzero element fixes the
@@ -70,6 +71,22 @@ def basis_table(ctx: PrimeCtx):
     return tuple(table)
 
 
+def _product(v: int, p: int, a, b) -> tuple:
+    """Coordinates of (a0 + a1 i + a2 j + a3 k)(b0 + b1 i + b2 j + b3 k)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + v * a1 * b1 - p * a2 * b2 + v * p * a3 * b3,
+        a0 * b1 + a1 * b0 + p * (a2 * b3 - a3 * b2),
+        a0 * b2 + a2 * b0 + v * (a1 * b3 - a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
+    )
+
+
+def _all_rational(rows) -> bool:
+    return all(type(e) is Fraction or type(e) is int for r in rows for e in r)
+
+
 @dataclass(frozen=True)
 class Quat:
     """A quaternion q0 + q1 i + q2 j + q3 k with exact rational coordinates."""
@@ -102,17 +119,14 @@ class Quat:
         if not isinstance(other, Quat):
             return self.scale(other)
         self._check(other)
-        table = basis_table(self.ctx)
-        out = [Fraction(0)] * 4
-        for a, qa in enumerate(self.coords):
-            if not qa:
-                continue
-            for b, qb in enumerate(other.coords):
-                if not qb:
-                    continue
-                coeff, idx = table[a][b]
-                out[idx] += coeff * qa * qb
-        return Quat(self.ctx, *out)
+        v, p = self.ctx.v, self.ctx.p
+        rows = (self.coords, other.coords)
+        if not _all_rational(rows):
+            # capped-precision coordinates: the same formula on the entries
+            return Quat(self.ctx, *_product(v, p, *rows))
+        ints, den = clear_denominators(rows)
+        den *= den
+        return Quat(self.ctx, *(Fraction(c, den) for c in _product(v, p, *ints)))
 
     def __rmul__(self, other):
         return self.scale(other)

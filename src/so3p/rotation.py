@@ -18,11 +18,13 @@ Conventions fixed here once and used everywhere else:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AmbiguityError, CertificateError
+from .errors import AmbiguityError, CertificateError, PrecisionExhausted
 from .linalg import (
     Mat,
     aplus,
@@ -227,16 +229,38 @@ def axis_rotation(ctx: PrimeCtx, axis: str, param) -> Rot3:
     return Rot3(ctx, _embed(so2_make(ctx, d, param).mat, AXIS_SLOTS[axis]))
 
 
+@lru_cache(maxsize=None)
+def _lambda_ratios(ctx: PrimeCtx) -> tuple:
+    """vp * lam_i / lam_j for the antidiagonal lam of lambda_matrix and of
+    lambda_inverse: two 3x3 tables of integers."""
+    vp = ctx.v * ctx.p
+
+    def table(m: Mat) -> tuple:
+        lam = [m.rows[i][2 - i] for i in range(3)]
+        return tuple(tuple(int(vp * a / b) for b in lam) for a in lam)
+
+    return table(lambda_matrix(ctx)), table(lambda_inverse(ctx))
+
+
+def _antidiagonal_conjugate(rows, ratios, times=operator.mul) -> list:
+    # For antidiagonal A with A[i][2-i] = lam_i, (A M A^-1)[i][j] is
+    # (lam_i / lam_j) M[2-i][2-j]: a signed, scaled permutation of M.
+    return [[times(e, f) for f, e in zip(fr, reversed(r))] for fr, r in zip(ratios, reversed(rows))]
+
+
 def quat_to_rotation(x: Quat) -> Rot3:
     """The isomorphism from projective quaternions onto SO(3)_p.
 
     Conjugation by x acts on pure quaternions; rewriting that action in
     the coordinates where the preserved form becomes diag(1,-v,p) gives
-    the rotation.  Proportional quaternions map to the same element.
+    the rotation Lambda K Lambda^-1.  Lambda is antidiagonal, so that is a
+    permutation of the integer form of K with integer factors over vp.
+    Proportional quaternions map to the same element.
     """
-    k = conj_action_matrix(x)
     ctx = x.ctx
-    return Rot3(ctx, lambda_matrix(ctx) * k * lambda_inverse(ctx))
+    num, den = conj_action_matrix(x).integer_form()
+    to_rotation, _ = _lambda_ratios(ctx)
+    return Rot3(ctx, Mat.from_numerators(_antidiagonal_conjugate(num, to_rotation), ctx.v * ctx.p * den))
 
 
 def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
@@ -267,6 +291,16 @@ def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
     return f1 * f2 * f3
 
 
+def _quotient(a, b):
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
+def _times(x, f: int):
+    # PadicApprox's own * rounds f to x's absolute precision and so loses
+    # relative digits; scaled keeps them all.
+    return x.scaled(f) if isinstance(x, PadicApprox) else x * f
+
+
 def rotation_to_quat(r: Rot3) -> Quat:
     """Projective quaternion of a rotation, inverse to quat_to_rotation.
 
@@ -275,29 +309,33 @@ def rotation_to_quat(r: Rot3) -> Quat:
     """
     ctx = r.ctx
     v, p = ctx.v, ctx.p
-    k = lambda_inverse(ctx) * r.mat * lambda_matrix(ctx)
-    e = k.rows
+    # K = Lambda^-1 R Lambda is e / s: integers over the integer form of R,
+    # entries scaled one by one for other entry types.
+    num, den = r.mat.integer_form() or (r.mat.rows, 1)
+    _, to_quat = _lambda_ratios(ctx)
+    e = _antidiagonal_conjugate(num, to_quat, _times)
+    s = v * p * den
     # trace(K) + 1 = 4 q0^2 / nrd; the antisymmetric combinations below
     # recover q0*q1, q0*q2, q0*q3 over the same denominator.
-    w = (e[0][0] + e[1][1] + e[2][2] + 1) / 4
-    if not _is_zero(w):
-        a1 = (v * e[2][1] + e[1][2]) / (4 * v)
-        a2 = (e[0][2] - p * e[2][0]) / (4 * p)
-        a3 = -(v * e[0][1] + p * e[1][0]) / (4 * p * v)
-        return Quat(ctx, Fraction(1), a1 / w, a2 / w, a3 / w)
+    t = e[0][0] + e[1][1] + e[2][2] + s
+    if not _is_zero(t):
+        return Quat(
+            ctx,
+            Fraction(1),
+            _quotient(_times(e[2][1], v) + e[1][2], _times(t, v)),
+            _quotient(e[0][2] - _times(e[2][0], p), _times(t, p)),
+            _quotient(-(_times(e[0][1], v) + _times(e[1][0], p)), _times(t, p * v)),
+        )
     # q0 = 0: diagonal entries give squares, off-diagonal give products.
-    b1 = -(e[0][0] + 1) / (2 * v)
-    b2 = (e[1][1] + 1) / (2 * p)
-    b3 = -(e[2][2] + 1) / (2 * v * p)
-    c12 = e[0][1] / (2 * p)
-    c13 = -e[0][2] / (2 * p * v)
-    c23 = -e[1][2] / (2 * v * p)
     zero = Fraction(0)
+    b1 = e[0][0] + s
     if not _is_zero(b1):
-        return Quat(ctx, zero, Fraction(1), c12 / b1, c13 / b1)
+        pb1 = _times(b1, p)
+        return Quat(ctx, zero, Fraction(1), _quotient(_times(e[0][1], -v), pb1), _quotient(e[0][2], pb1))
+    b2 = e[1][1] + s
     if not _is_zero(b2):
-        return Quat(ctx, zero, zero, Fraction(1), c23 / b2)
-    if _is_zero(b3):
+        return Quat(ctx, zero, zero, Fraction(1), _quotient(-e[1][2], _times(b2, v)))
+    if _is_zero(e[2][2] + s):
         raise CertificateError("degenerate rotation: no quaternion preimage")
     return Quat(ctx, zero, zero, zero, Fraction(1))
 
@@ -316,7 +354,13 @@ def _canonical_cos(ctx: PrimeCtx, radicand, precision: int):
     return hensel_sqrt(radicand, ctx, precision)
 
 
-def _pair_param(ctx: PrimeCtx, d, c, s):
+def _pair_param(ctx: PrimeCtx, d, c, s, exact: bool):
+    # A capped 1 + c that reads zero cannot be told from INF at this digit
+    # budget.  For an exact matrix c is capped only on the Hensel path,
+    # where it is irrational, so the parameter is never truly INF there.
+    # A capped matrix may really carry INF, which so2_param returns.
+    if exact and isinstance(c, PadicApprox) and (1 + c).is_zero:
+        raise PrecisionExhausted("the digit budget cannot tell a parameter from infinity")
     block = Mat(((c, -Fraction(d) * s), (s, c)))
     return so2_param(block, ctx, d)
 
@@ -336,9 +380,10 @@ def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     s_b = m[2][0]
     radicand = 1 - ctx.p * s_b * s_b
     c_b = _canonical_cos(ctx, radicand, precision)
+    exact = r.mat.integer_form() is not None
     for cand in (c_b, -c_b):
         try:
-            angles = _extract_triple(ctx, m, s_b, cand)
+            angles = _extract_triple(ctx, m, s_b, cand, exact)
         except CertificateError:
             continue
         if cardano_matrix(ctx, angles).mat.agrees(r.mat):
@@ -346,11 +391,11 @@ def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     raise AmbiguityError("no consistent sign branch in Cardano extraction")
 
 
-def _extract_triple(ctx: PrimeCtx, m, s_b, c_b) -> Angles:
+def _extract_triple(ctx: PrimeCtx, m, s_b, c_b, exact: bool) -> Angles:
     if values_agree(c_b, Fraction(-1)):
         beta = INF
     else:
         beta = s_b / (1 + c_b)
-    alpha = _pair_param(ctx, ctx.d_z, m[0][0] / c_b, m[1][0] / c_b)
-    gamma = _pair_param(ctx, ctx.d_x, m[2][2] / c_b, m[2][1] / c_b)
+    alpha = _pair_param(ctx, ctx.d_z, m[0][0] / c_b, m[1][0] / c_b, exact)
+    gamma = _pair_param(ctx, ctx.d_x, m[2][2] / c_b, m[2][1] / c_b, exact)
     return Angles(alpha, beta, gamma)

@@ -9,7 +9,7 @@ import pytest
 
 from so3p import cli
 from so3p.errors import AmbiguityError, PrecisionExhausted
-from so3p.formats import format_matrix_json, parse_matrix_json, parse_quat
+from so3p.formats import format_matrix_json, parse_angles, parse_matrix_json, parse_quat
 from so3p.padic import canonical_units
 from so3p.rotation import quat_to_rotation
 from so3p.verify import CheckResult
@@ -322,3 +322,72 @@ class TestSettings:
     def test_threads_floor(self, capsys):
         code, _, _ = run(capsys, "haar", "sample", "--prime", "3", "--threads", "0")
         assert code == 2
+
+
+P3_DEEP_SHELL = (
+    '[["77975/79489", "-486/79489", "-26730/79489"],'
+    ' ["13122/79489", "-39785/79489", "117006/79489"],'
+    ' ["-162/2741", "-1370/2741", "-1343/2741"]]'
+)
+
+
+class TestDigitBudget:
+    def test_deep_shell_exits_3_then_canonical(self, capsys):
+        code, out, err = run(capsys, "decompose", "--prime", "3", "--precision", "16", P3_DEEP_SHELL)
+        assert code == 3
+        assert out == ""
+        assert "precision exhausted" in err and "digit budget" in err
+        code, out, _ = run(capsys, "decompose", "--prime", "3", "--precision", "20", P3_DEEP_SHELL)
+        assert code == 0
+        assert parse_angles(out, 3).beta.val == 4
+
+    def test_exhausted_budget_exits_3_not_4(self, capsys, monkeypatch):
+        code, text, _ = run(
+            capsys, "rotate", "--prime", "7", "--quat", "38122 + 111181 i - 11137 j + 1727/343 k"
+        )
+        assert code == 0
+        for precision, expected in (("8", 3), ("10", 0)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, _ = run(capsys, "decompose", "--prime", "7", "--precision", precision, "-")
+            assert code == expected
+        assert out.strip().endswith(",7^-5 * [2]")
+
+
+    @pytest.mark.parametrize("angles", ["inf,3^0 * [1],0", "0,3^0 * [1],inf"])
+    def test_capped_matrix_with_infinite_parameter(self, capsys, monkeypatch, angles):
+        code, text, _ = run(capsys, "rotate", "--prime", "3", angles)
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "decompose", "--prime", "3", "-")
+        assert (code, out.strip(), err) == (0, angles, "")
+
+
+class TestRoundTrips:
+    def test_hensel_angles_feed_back_into_rotate(self, capsys, monkeypatch):
+        code, text, _ = run(capsys, "rotate", "--prime", "3", "--quat", "1 + 1 i + 1 j")
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, angles, _ = run(capsys, "decompose", "--prime", "3", "--precision", "24")
+        assert code == 0
+        assert "[" in angles
+        code, again, _ = run(capsys, "rotate", "--prime", "3", angles.strip())
+        assert code == 0
+        assert parse_matrix_json(again, 3).agrees(parse_matrix_json(text, 3))
+
+    def test_sample_formats_carry_the_same_draws(self, capsys):
+        argv = ("haar", "sample", "--prime", "7", "--count", "5", "--seed", "3", "--matrices")
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, js, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        lines = []
+        for s in json.loads(js)["samples"]:
+            lines += [",".join(s["angles"]), json.dumps(s["matrix"])]
+        assert text == "\n".join(lines) + "\n"
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        run(capsys, "classify", "--prime", "3", "2")
+        code, out, _ = run(capsys, "classify", "--prime", "5", "10", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"schema": 1, "class": "UP"}

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3p.errors import RegionError
 from so3p.formats import (
@@ -186,3 +188,41 @@ class TestRegions:
     def test_overlap_raises_region_error(self):
         with pytest.raises(RegionError):
             parse_region("zp,ball:0,2", 3)
+
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+@st.composite
+def angle_entries(draw, p):
+    kind = draw(st.sampled_from(("rational", "inf", "padic")))
+    if kind == "inf":
+        return INF
+    if kind == "rational":
+        return Fraction(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6)))
+    n = draw(st.integers(1, 12))
+    mant = draw(st.integers(1, p**n - 1).filter(lambda m: m % p))
+    return PadicApprox(p=p, val=draw(st.integers(-8, 8)), mant=mant, n=n)
+
+
+@st.composite
+def angle_triples(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, tuple(draw(angle_entries(p)) for _ in range(3))
+
+
+class TestAngleRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(angle_triples())
+    def test_format_then_parse_is_identity(self, case):
+        p, triple = case
+        assert tuple(parse_angles(format_angles(triple), p)) == triple
+
+    def test_digit_lists_keep_their_commas(self):
+        text = "3^0 * [2,0,2],3^-1 * [1, 2],inf"
+        a = parse_angles(text, 3)
+        assert (a.alpha.mant, a.alpha.n) == (20, 3)
+        assert (a.beta.val, a.beta.mant) == (-1, 7)
+        assert a.gamma is INF
+        with pytest.raises(ValueError):
+            parse_angles("3^0 * [2,0,2],1", 3)

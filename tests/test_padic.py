@@ -243,3 +243,20 @@ def test_values_agree():
     assert values_agree(F(5), a)
     assert not values_agree(a, F(6))
     assert values_agree(a, F(5 + 3**4))  # differs beyond known digits
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_scaled_keeps_relative_digits(p):
+    rng = random.Random(707 + p)
+    for _ in range(60):
+        x, f = rand_rational(rng, p), rand_rational(rng, p)
+        a = PadicApprox.from_rational(x, p, 12)
+        got = a.scaled(f)
+        assert got == PadicApprox.from_rational(x * f, p, 12)
+        assert (got - a * f).is_zero
+    # the rounded product loses a digit per power of p in the factor
+    a = PadicApprox.from_rational(F(2, 5), 3, 16)
+    assert (a * 9).n == 14 and a.scaled(9).n == 16
+    assert a.scaled(F(1, 9)).n == 16 and a.scaled(F(1, 9)).val == -2
+    assert a.scaled(0) == PadicApprox.zero(3)
+    assert PadicApprox.zero(3, 5).scaled(F(9, 2)) == PadicApprox.zero(3, 7)

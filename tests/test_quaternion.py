@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from so3p.linalg import Mat, QExtElem, aplus4, aprime, is_special_isometry
-from so3p.padic import canonical_units
+from so3p.padic import PadicApprox, canonical_units, values_agree
 from so3p.quaternion import Quat, basis_table, conj_action_matrix, left_regular, quat
 
 from conftest import rand_rational
@@ -167,3 +167,54 @@ class TestConjAction:
             x = rand_quat(rng, ctx)
             lam = rand_rational(rng, ctx.p)
             assert conj_action_matrix(x.scale(lam)) == conj_action_matrix(x)
+
+
+def table_product(x, y):
+    """x * y expanded through the derived structure constants."""
+    table = basis_table(x.ctx)
+    out = [Fraction(0)] * 4
+    for a, qa in enumerate(x.coords):
+        for b, qb in enumerate(y.coords):
+            coeff, idx = table[a][b]
+            out[idx] += coeff * qa * qb
+    return tuple(out)
+
+
+class TestExplicitProduct:
+    def test_matches_table_expansion(self, ctx):
+        # zero coordinates at a 15% rate; denominators are powers of p
+        # times small cofactors prime to p
+        rng = random.Random(503 + ctx.p)
+        for _ in range(150):
+            x, y = rand_quat(rng, ctx, allow_zero=True), rand_quat(rng, ctx, allow_zero=True)
+            assert (x * y).coords == table_product(x, y)
+
+    def test_basis_pairs_and_deep_denominators(self, ctx):
+        p = ctx.p
+        units = [quat(ctx, *(Fraction(int(a == b)) for b in range(4))) for a in range(4)]
+        deep = [
+            quat(ctx, Fraction(1, p**5), 0, Fraction(-3, p), Fraction(2, 7 * p**2)),
+            quat(ctx, 0, Fraction(p**4, 11), 0, Fraction(-1, p**6)),
+            quat(ctx),
+        ]
+        for x in units + deep:
+            for y in units + deep:
+                assert (x * y).coords == table_product(x, y)
+
+    def test_result_is_reduced(self, ctx):
+        # coordinates come back as plain reduced Fractions over D^2
+        x = quat(ctx, Fraction(1, ctx.p), Fraction(1, ctx.p), 0, 0)
+        y = quat(ctx, ctx.p, 0, 0, 0)
+        assert (x * y).coords == (1, 1, 0, 0)
+        assert all(type(c) is Fraction for c in (x * y).coords)
+
+    def test_capped_coordinates_use_the_same_formula(self, ctx):
+        # capped-precision coordinates skip the common denominator
+        rng = random.Random(509 + ctx.p)
+        for _ in range(20):
+            x, y = rand_quat(rng, ctx), rand_quat(rng, ctx)
+            capped = Quat(ctx, *(PadicApprox.from_rational(c, ctx.p, 16) if c else c for c in x.coords))
+            got = (capped * y).coords
+            assert any(isinstance(c, PadicApprox) for c in got)
+            assert all(values_agree(a, b) for a, b in zip(got, (x * y).coords))
+            assert all(values_agree(a, b) for a, b in zip(got, table_product(capped, y)))

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from so3p.errors import CertificateError
-from so3p.linalg import Mat, so2_form, is_special_isometry
-from so3p.padic import INF, Infinity, canonical_units, valuation, values_agree
-from so3p.quaternion import Quat, quat
+from so3p.errors import CertificateError, PrecisionExhausted
+from so3p.formats import parse_matrix_json
+from so3p.linalg import Mat, lambda_inverse, lambda_matrix, so2_form, is_special_isometry
+from so3p.padic import INF, Infinity, PadicApprox, canonical_units, valuation, values_agree
+from so3p.quaternion import Quat, conj_action_matrix, quat
 from so3p.rotation import (
     Angles,
     Rot3,
@@ -436,3 +437,186 @@ class TestDecompose:
             hit += any(not isinstance(x, (Fraction, Infinity)) for x in t)
             assert cardano_matrix(ctx, t).mat.agrees(r.mat)
         assert hit > 0
+
+
+P3_DEEP_SHELL = (
+    '[["77975/79489", "-486/79489", "-26730/79489"],'
+    ' ["13122/79489", "-39785/79489", "117006/79489"],'
+    ' ["-162/2741", "-1370/2741", "-1343/2741"]]'
+)
+
+
+def capped_copy(r, digits):
+    rows = tuple(
+        tuple(e if e == 0 else PadicApprox.from_rational(e, r.ctx.p, digits) for e in row)
+        for row in r.mat.rows
+    )
+    return Rot3(r.ctx, Mat(rows))
+
+
+def lambda_product_quat(r):
+    """rotation_to_quat through two general Mat products with Lambda, q0 != 0
+    branch only; None where that branch reads a zero trace."""
+    ctx = r.ctx
+    v, p = ctx.v, ctx.p
+    e = (lambda_inverse(ctx) * r.mat * lambda_matrix(ctx)).rows
+    w = (e[0][0] + e[1][1] + e[2][2] + 1) / 4
+    if values_agree(w, 0):
+        return None
+    a1 = (v * e[2][1] + e[1][2]) / (4 * v)
+    a2 = (e[0][2] - p * e[2][0]) / (4 * p)
+    a3 = -(v * e[0][1] + p * e[1][0]) / (4 * p * v)
+    return (Fraction(1), a1 / w, a2 / w, a3 / w)
+
+
+class TestLambdaKernel:
+    def test_permutation_equals_lambda_products(self, ctx):
+        rng = random.Random(601 + ctx.p)
+        pures = [quat(ctx, 0, 1), quat(ctx, 0, 0, 1), quat(ctx, 0, 0, 0, 1)]
+        for x in pures + [rand_quat(rng, ctx) for _ in range(40)]:
+            via_lambda = lambda_matrix(ctx) * conj_action_matrix(x) * lambda_inverse(ctx)
+            got = quat_to_rotation(x).mat
+            assert got == via_lambda
+            assert got.rows == via_lambda.rows
+
+    def test_rotation_to_quat_inverts_projectively(self, ctx):
+        rng = random.Random(607 + ctx.p)
+        for _ in range(40):
+            x = rand_quat(rng, ctx)
+            y = rotation_to_quat(quat_to_rotation(x))
+            assert y.proportional(x)
+            assert y.q0 in (0, 1)
+
+    def test_rotation_to_quat_on_padic_entries(self, ctx):
+        # the same rotations with every entry cut to 24 significant digits
+        rng = random.Random(613 + ctx.p)
+        seen = 0
+        for _ in range(20):
+            r = quat_to_rotation(rand_quat(rng, ctx))
+            rows = tuple(
+                tuple(e if e == 0 else PadicApprox.from_rational(e, ctx.p, 24) for e in row)
+                for row in r.mat.rows
+            )
+            approx = Rot3(ctx, Mat(rows))
+            assert approx.mat.integer_form() is None
+            exact, got = rotation_to_quat(r), rotation_to_quat(approx)
+            assert values_agree(got.q0, exact.q0)
+            for a, b in zip(got.coords, exact.coords):
+                assert values_agree(a, b)
+            seen += any(isinstance(c, PadicApprox) for c in got.coords)
+        assert seen > 0
+
+    def test_rotation_to_quat_knows_no_fewer_digits_than_lambda_products(self, ctx):
+        rng = random.Random(619 + ctx.p)
+        compared = 0
+        for i in range(24):
+            r = quat_to_rotation(rand_quat(rng, ctx))
+            if i % 2:
+                approx = capped_copy(r, 12)
+            else:
+                try:
+                    angles = decompose_cardano(r, precision=16)
+                except PrecisionExhausted:
+                    continue
+                approx = cardano_matrix(ctx, angles)
+                if approx.mat.integer_form() is not None:
+                    continue
+            reference = lambda_product_quat(approx)
+            if reference is None:
+                continue
+            got = rotation_to_quat(approx).coords
+            for a, b in zip(got, reference):
+                assert values_agree(a, b)
+                if isinstance(b, PadicApprox):
+                    assert a.abs_known >= b.abs_known
+                    compared += 1
+        assert compared > 0
+
+    def test_rotation_to_quat_on_hensel_angles(self):
+        ctx = canonical_units(3)
+        r = quat_to_rotation(quat(ctx, 1, 1, 1))
+        approx = cardano_matrix(ctx, decompose_cardano(r, precision=24))
+        got = rotation_to_quat(approx)
+        assert all(values_agree(a, b) for a, b in zip(got.coords, rotation_to_quat(r).coords))
+
+
+class TestMatComparison:
+    def pair_cases(self, ctx):
+        rng = random.Random(617 + ctx.p)
+        for _ in range(25):
+            a = quat_to_rotation(rand_quat(rng, ctx)).mat
+            i, j = rng.randrange(3), rng.randrange(3)
+            rows = [list(r) for r in a.rows]
+            rows[i][j] += Fraction(1, ctx.p)
+            yield a, Mat(a.rows), True
+            yield a, Mat(rows), False
+            yield a, quat_to_rotation(rand_quat(rng, ctx)).mat, None
+
+    def test_integer_path_matches_entry_path(self, ctx):
+        for a, b, expected in self.pair_cases(ctx):
+            entry_eq = a.rows == b.rows
+            entry_agree = all(values_agree(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+            assert (a == b) == entry_eq == (b == a)
+            assert a.agrees(b) == entry_agree == b.agrees(a)
+            if expected is not None:
+                assert entry_eq is expected
+
+    def test_one_entry_off_by_one_over_p(self, ctx):
+        a = cardano_matrix(ctx, (1, ctx.p, 2)).mat
+        rows = [list(r) for r in a.rows]
+        rows[1][2] += Fraction(1, ctx.p)
+        b = Mat(rows)
+        assert a.integer_form() is not None and b.integer_form() is not None
+        assert a != b and not a.agrees(b)
+        approx = Mat([[PadicApprox.from_rational(e, ctx.p, 12) if e else e for e in r] for r in rows])
+        assert approx.integer_form() is None
+        assert not a.agrees(approx) and b.agrees(approx)
+
+    def test_same_numerators_over_another_denominator(self, ctx):
+        # a scalar multiple keeps N and changes only D
+        a = cardano_matrix(ctx, (1, ctx.p, 2)).mat
+        num, den = a.integer_form()
+        b = Mat.from_numerators(num, den * 1_000_003)
+        assert b.integer_form()[0] == num
+        assert a != b and not a.agrees(b)
+        assert Mat.identity(3) != Mat.identity(3).scale(Fraction(1, ctx.p))
+
+    def test_shapes_and_other_types(self, ctx):
+        assert Mat.identity(3) != Mat.identity(2)
+        assert not Mat.identity(3).agrees(Mat.identity(2))
+        assert Mat.identity(3) == Mat(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert Mat.identity(3) != "I"
+
+
+class TestPrecisionBudget:
+    def test_deep_shell_alpha_needs_more_digits(self):
+        ctx = canonical_units(3)
+        r = Rot3(ctx, parse_matrix_json(P3_DEEP_SHELL, 3))
+        with pytest.raises(PrecisionExhausted):
+            decompose_cardano(r, precision=16)
+        t = decompose_cardano(r, precision=20)
+        assert t.beta.val == 4
+        assert cardano_matrix(ctx, t).mat.agrees(r.mat)
+
+    @pytest.mark.parametrize("alpha, gamma", [(INF, 0), (0, INF), (INF, INF)])
+    def test_capped_matrix_keeps_infinite_parameters(self, ctx, alpha, gamma):
+        # on a capped matrix 1 + c can really vanish: the parameter is INF
+        beta = PadicApprox.from_rational(1, ctx.p, 16)
+        r = cardano_matrix(ctx, (alpha, beta, gamma))
+        assert r.mat.integer_form() is None
+        t = decompose_cardano(r, precision=16)
+        for got, want in ((t.alpha, alpha), (t.gamma, gamma)):
+            assert got is INF if want is INF else values_agree(got, want)
+        assert values_agree(t.beta, beta)
+        assert cardano_matrix(ctx, t).mat.agrees(r.mat)
+
+    def test_budget_exhaustion_is_not_ambiguity(self):
+        ctx = canonical_units(7)
+        x = quat(ctx, 38122, 111181, -11137, Fraction(1727, 343))
+        r = quat_to_rotation(x)
+        with pytest.raises(PrecisionExhausted):
+            decompose_cardano(r, precision=8)
+        t = decompose_cardano(r, precision=10)
+        assert (t.gamma.val, t.gamma.digits()) == (-5, (2,))
+        assert valuation(t.beta, 7) >= 0
+        assert cardano_matrix(ctx, t).mat.agrees(r.mat)
