@@ -14,7 +14,8 @@ consumers never round an exact rational through a float.  Exit codes:
 region.
 
 Identical configuration and seed produce identical output bytes.
-`--threads` only fans out sampling batches; it never changes results.
+`--threads` is accepted (at least 1) and has no effect: sampling runs its
+seeded chunks in order in one thread.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sampling batches"
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

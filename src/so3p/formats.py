@@ -1,13 +1,14 @@
 r"""Textual and JSON literals shared by the command line.
 
-Number literals: a rational `a/b` or `a`, the token `inf`, or a
+Number literals: a rational `a/b` or `a`, the token `inf`, a
 capped-precision value `p^v * [d0,d1,...]` with base-p digits listed least
-significant first.  Angle triples are `a,b,c`, split on the commas outside
-digit lists.  Matrices travel as JSON arrays of row arrays whose entries
-are number literals (strings), so no consumer ever rounds them through
-floats.  Quaternions read `q0 + q1 i + q2 j + q3 k`.  Regions of the
-parameter line are unions like `zp,shell:2,ball:1/3,-1,tail:4`, where
-`ball:` consumes two comma tokens, its center and its level.
+significant first, or a capped zero `0 + O(p^k)`.  Angle triples are
+`a,b,c`, split on the commas outside digit lists.  Matrices travel as
+JSON arrays of row arrays whose entries are number literals (strings), so
+no consumer ever rounds them through floats.  Quaternions read
+`q0 + q1 i + q2 j + q3 k`.  Regions of the parameter line are unions like
+`zp,shell:2,ball:1/3,-1,tail:4`, where `ball:` consumes two comma tokens,
+its center and its level.
 
 Parsers raise ValueError on malformed numbers and RegionError on malformed
 regions; the CLI maps those onto its documented exit codes.
@@ -45,6 +46,7 @@ __all__ = [
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _PADIC = re.compile(r"^(\d+)\^([+-]?\d+)\s*\*\s*\[([0-9,\s]*)\]$")
+_PADIC_ZERO = re.compile(r"^0\s*\+\s*O\((\d+)\^([+-]?\d+)\)$")
 _ANGLE_SEP = re.compile(r",(?![^\[]*\])")  # a comma not inside [...]
 
 
@@ -63,16 +65,19 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_number(token: str, p: int | None = None):
-    """A rational, `inf`, or a p-adic digit literal `p^v * [d0,d1,...]`."""
+    """A rational, `inf`, a p-adic digit literal `p^v * [d0,d1,...]`, or a
+    capped zero `0 + O(p^k)`."""
     token = token.strip()
     if token == "inf":
         return INF
-    m = _PADIC.match(token)
+    m = _PADIC.match(token) or _PADIC_ZERO.match(token)
     if m is None:
         return parse_rational(token)
     base, val = int(m.group(1)), int(m.group(2))
     if p is not None and base != p:
         raise ValueError(f"literal is {base}-adic, expected p = {p}")
+    if m.re is _PADIC_ZERO:
+        return PadicApprox.zero(base, val)
     digit_text = m.group(3).strip()
     if not digit_text:
         raise ValueError("digit list is empty")
@@ -112,7 +117,8 @@ def format_angles(angles) -> str:
 def _entry(obj, p: int | None):
     if isinstance(obj, str):
         return parse_number(obj, p)
-    if isinstance(obj, int):
+    # bool is an int subclass, and JSON true/false are no number literals
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     raise ValueError(f"matrix entries must be literals, not {type(obj).__name__}")
 

@@ -40,7 +40,6 @@ __all__ = [
     "BallQp",
     "InvarianceReport",
     "JacobianReport",
-    "MassRational",
     "RegionQp",
     "ShellQp",
     "axis_integral",
@@ -59,10 +58,6 @@ __all__ = [
     "so3_density",
     "total_mass",
 ]
-
-# Masses are plain Fractions; the alias marks intent in signatures.
-MassRational = Fraction
-
 
 def _canonical_center(center: Fraction, k: int, p: int) -> Fraction:
     """The representative of center mod p^k Z_p with digits only below k."""
@@ -237,11 +232,8 @@ def so2_density(ctx: PrimeCtx, d, sigma) -> Fraction:
 
 def so3_density(ctx: PrimeCtx, angles) -> Fraction:
     """Product of the three axis densities at a finite Cardano triple."""
-    alpha, beta, gamma = angles
-    return (
-        so2_density(ctx, ctx.d_z, alpha)
-        * so2_density(ctx, ctx.d_y, beta)
-        * so2_density(ctx, ctx.d_x, gamma)
+    return math.prod(
+        so2_density(ctx, ctx.axis_d(axis), t) for axis, t in zip(ctx.AXES, angles, strict=True)
     )
 
 
@@ -297,26 +289,15 @@ def integrate_so2(ctx: PrimeCtx, d, region: RegionQp) -> Fraction:
     return total
 
 
-_AXIS_TAGS = {"so2:-v": "z", "so2:p": "y", "so2:-p/v": "x"}
-
-
-def _axis_d(ctx: PrimeCtx, axis: str) -> Fraction:
-    return {"z": ctx.d_z, "y": ctx.d_y, "x": ctx.d_x}[axis]
-
-
 def total_mass(ctx: PrimeCtx, tag: str) -> Fraction:
     """Full-group mass: (p+1)/p, 2, 2 for the axis SO(2)s, 4(p+1)/p for SO(3).
 
     Computed by the integrator over the full parameter line, not tabulated.
     """
-    if tag == "so3":
-        return (
-            total_mass(ctx, "so2:-v") * total_mass(ctx, "so2:p") * total_mass(ctx, "so2:-p/v")
-        )
-    if tag not in _AXIS_TAGS:
+    axes = [axis for axis, key in ctx.AXES.items() if tag in ("so3", f"so2:{key}")]
+    if not axes:
         raise ValueError(f"unknown group tag: {tag!r}")
-    d = _axis_d(ctx, _AXIS_TAGS[tag])
-    return integrate_so2(ctx, d, RegionQp.full(ctx.p))
+    return math.prod(integrate_so2(ctx, ctx.axis_d(axis), RegionQp.full(ctx.p)) for axis in axes)
 
 
 def integrate_so3(ctx: PrimeCtx, box, normalized: bool = False) -> Fraction:
@@ -324,9 +305,9 @@ def integrate_so3(ctx: PrimeCtx, box, normalized: bool = False) -> Fraction:
     box = tuple(box)
     if len(box) != 3:
         raise RegionError("box must give one region per angle")
-    mass = Fraction(1)
-    for axis, region in zip("zyx", box):
-        mass *= integrate_so2(ctx, _axis_d(ctx, axis), region)
+    mass = math.prod(
+        integrate_so2(ctx, ctx.axis_d(axis), region) for axis, region in zip(ctx.AXES, box)
+    )
     if normalized:
         mass /= total_mass(ctx, "so3")
     return mass
@@ -339,8 +320,7 @@ def axis_integral(ctx: PrimeCtx, axis: str, steps) -> Fraction:
     disjoint regions; the normalization constant is the full mass of the
     axis, (1+1/p) for z and 2 for y and x.
     """
-    if axis not in ("z", "y", "x"):
-        raise ValueError(f"axis must be z, y or x, not {axis!r}")
+    d = ctx.axis_d(axis)
     steps = [(region, Fraction(value)) for region, value in steps]
     pieces = []
     for region, _ in steps:
@@ -351,12 +331,10 @@ def axis_integral(ctx: PrimeCtx, axis: str, steps) -> Fraction:
         for y in pieces[i + 1 :]:
             if _intersects(ctx.p, x, y):
                 raise RegionError(f"step regions overlap: {x} and {y}")
-    d = _axis_d(ctx, axis)
     acc = Fraction(0)
     for region, value in steps:
         acc += value * integrate_so2(ctx, d, region)
-    tag = {"z": "so2:-v", "y": "so2:p", "x": "so2:-p/v"}[axis]
-    return acc / total_mass(ctx, tag)
+    return acc / integrate_so2(ctx, d, RegionQp.full(ctx.p))
 
 
 class JacobianReport(NamedTuple):
@@ -471,10 +449,7 @@ def sample_so2_param(ctx: PrimeCtx, d, rng, digits: int = 32) -> Fraction:
 
 def sample_so3(ctx: PrimeCtx, rng, digits: int = 32) -> tuple:
     """A Haar-random rotation: three independent axis draws, certified."""
-    alpha = sample_so2_param(ctx, ctx.d_z, rng, digits)
-    beta = sample_so2_param(ctx, ctx.d_y, rng, digits)
-    gamma = sample_so2_param(ctx, ctx.d_x, rng, digits)
-    angles = Angles(alpha, beta, gamma)
+    angles = Angles(*(sample_so2_param(ctx, ctx.axis_d(axis), rng, digits) for axis in ctx.AXES))
     return angles, cardano_matrix(ctx, angles)
 
 
@@ -487,28 +462,20 @@ def _stream_rng(seed, index: int) -> random.Random:
 
 
 def sample_so3_batch(ctx: PrimeCtx, seed, count: int, digits: int = 32, threads: int = 1):
-    """A deterministic batch of Haar draws, independent of thread count.
+    """A deterministic batch of Haar draws.
 
     The batch is cut into fixed-size chunks, each with its own generator
-    derived by hashing (seed, chunk index); workers own whole chunks and
-    results concatenate in chunk order, so the output depends only on the
-    seed, the count and the digit depth.
+    derived by hashing (seed, chunk index), and the chunks run in order,
+    so the output depends only on the seed, the count and the digit depth.
+    `threads` is accepted and has no effect: the draws are GIL-bound
+    Fraction work, and a thread pool made them slower.
     """
-    chunks = range((count + _BATCH_CHUNK - 1) // _BATCH_CHUNK)
-
-    def run(idx: int):
+    draws = []
+    for idx in range((count + _BATCH_CHUNK - 1) // _BATCH_CHUNK):
         rng = _stream_rng(seed, idx)
         take = min(_BATCH_CHUNK, count - idx * _BATCH_CHUNK)
-        return [sample_so3(ctx, rng, digits) for _ in range(take)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(i) for i in chunks]
-    return [draw for part in parts for draw in part]
+        draws.extend(sample_so3(ctx, rng, digits) for _ in range(take))
+    return draws
 
 
 def complement_region(ctx: PrimeCtx, ball: BallQp) -> RegionQp:

@@ -22,8 +22,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
+from functools import cached_property, lru_cache
+from typing import ClassVar
 
 from .errors import PrecisionExhausted, SquareClassError
 
@@ -32,7 +32,6 @@ __all__ = [
     "Infinity",
     "PadicApprox",
     "PrimeCtx",
-    "ProjPoint",
     "SquareClass",
     "abs_p",
     "canonical_units",
@@ -47,8 +46,10 @@ __all__ = [
 ]
 
 
-# Deterministic Miller-Rabin witnesses, sufficient for every n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the first 13 primes prove every
+# n < _MR_PROOF_BOUND, the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROOF_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -152,17 +153,33 @@ class PrimeCtx:
     u: int
     v: int
 
+    # The reference axes in Cardano order, each with the so2_catalog key
+    # of its d; the axis SO(2) has group tag "so2:" + key.
+    AXES: ClassVar[dict] = {"z": "-v", "y": "p", "x": "-p/v"}
+
+    @cached_property
+    def _axis_ds(self) -> dict:
+        catalog = self.so2_catalog()
+        return {axis: catalog[key] for axis, key in self.AXES.items()}
+
+    def axis_d(self, axis: str) -> Fraction:
+        """The d of a reference axis: -v for z, p for y, -p/v for x."""
+        try:
+            return self._axis_ds[axis]
+        except KeyError:
+            raise ValueError(f"axis must be z, y or x, not {axis!r}") from None
+
     @property
     def d_z(self) -> Fraction:
-        return Fraction(-self.v)
+        return self.axis_d("z")
 
     @property
     def d_y(self) -> Fraction:
-        return Fraction(self.p)
+        return self.axis_d("y")
 
     @property
     def d_x(self) -> Fraction:
-        return Fraction(-self.p, self.v)
+        return self.axis_d("x")
 
     def so2_catalog(self) -> dict:
         return {
@@ -180,8 +197,13 @@ class PrimeCtx:
 def canonical_units(p: int) -> PrimeCtx:
     """Context for the prime p: smallest non-residue u and the unit v.
 
-    Raises ValueError unless p is an odd prime, p >= 3.
+    Raises ValueError unless p is an odd prime, p >= 3, below the bound
+    where is_prime is a proof.
     """
+    if p >= _MR_PROOF_BOUND:
+        raise ValueError(
+            f"p = {p} is at or above {_MR_PROOF_BOUND}, where the primality test is no proof"
+        )
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     u = 2
@@ -457,9 +479,6 @@ class PadicApprox:
         return f"PadicApprox({self.p}^{self.val} * [{ds}])"
 
 
-ProjPoint = Union[Fraction, PadicApprox, Infinity]
-
-
 def to_approx(x, ctx: PrimeCtx, n: int) -> PadicApprox:
     """Truncate an exact rational to n significant p-adic digits."""
     return PadicApprox.from_rational(x, ctx.p, n)
@@ -525,7 +544,7 @@ def hensel_sqrt(a, ctx: PrimeCtx, n: int) -> PadicApprox:
     return PadicApprox(p=p, val=val // 2, mant=r, n=digits)
 
 
-def values_agree(x, y, p: int | None = None) -> bool:
+def values_agree(x, y) -> bool:
     """Equality that degrades to digitwise agreement for capped-precision values.
 
     Exact operands compare exactly; when a PadicApprox is involved the

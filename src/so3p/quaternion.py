@@ -151,12 +151,6 @@ class Quat:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return self.conj().scale(1 / self.nrd())
 
-    def is_pure(self) -> bool:
-        return self.q0 == 0
-
-    def has_unit_norm(self) -> bool:
-        return self.nrd() == 1
-
     def proportional(self, other: "Quat") -> bool:
         """True when the two quaternions differ by a nonzero rational scalar."""
         self._check(other)

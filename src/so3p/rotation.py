@@ -143,15 +143,6 @@ def so2_param(m: Mat, ctx: PrimeCtx, d):
     return s / (1 + c)
 
 
-def _embed(block: Mat, slots: tuple) -> Mat:
-    r1, r2 = slots
-    rows = [list(r) for r in Mat.identity(3).rows]
-    for bi, mi in enumerate(slots):
-        for bj, mj in enumerate(slots):
-            rows[mi][mj] = block.rows[bi][bj]
-    return Mat(tuple(tuple(r) for r in rows))
-
-
 @dataclass(frozen=True)
 class Rot3:
     """A certified element of SO(3)_p.
@@ -188,45 +179,55 @@ def identity_rotation(ctx: PrimeCtx) -> Rot3:
     return Rot3(ctx, Mat.identity(3))
 
 
-def _int_axis_block(d: Fraction, alpha, slots: tuple) -> tuple:
-    """R_d(alpha) embedded at slots as integer rows over one denominator.
+def _axis_block(ctx: PrimeCtx, axis: str, t) -> tuple:
+    """R_d(t) about a reference axis, embedded at the axis's slots of the
+    3x3 identity, as (rows, den) with rows / den the matrix.
 
-    For alpha = n/m and d = dn/dd the block is
-    [[C, -2nm dn], [2nm dd, C]] / (dd m^2 + dn n^2) with C = dd m^2 - dn n^2;
-    alpha = INF gives -I over 1.
+    For t = n/m and d = dn/dd the block is
+    [[C, -2nm dn], [2nm dd, C]] / (dd m^2 + dn n^2) with C = dd m^2 - dn n^2,
+    in integers; t = INF gives -I over 1.  A capped-precision t gives
+    so2_make's entries and den None.
     """
-    if isinstance(alpha, Infinity):
+    d, t = ctx.axis_d(axis), _as_param(t)
+    if isinstance(t, PadicApprox):
+        block, den = so2_make(ctx, d, t).mat.rows, None
+    elif isinstance(t, Infinity):
         block, den = ((-1, 0), (0, -1)), 1
     else:
-        n, m = alpha.numerator, alpha.denominator
-        a, b, t = d.denominator * m * m, d.numerator * n * n, 2 * n * m
-        block, den = ((a - b, -t * d.numerator), (t * d.denominator, a - b)), a + b
-    rows = [[den if i == j else 0 for j in range(3)] for i in range(3)]
+        n, m = t.numerator, t.denominator
+        a, b, s = d.denominator * m * m, d.numerator * n * n, 2 * n * m
+        block, den = ((a - b, -s * d.numerator), (s * d.denominator, a - b)), a + b
+    one, zero = (Fraction(1), Fraction(0)) if den is None else (den, 0)
+    rows = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    slots = AXIS_SLOTS[axis]
     for bi, mi in enumerate(slots):
         for bj, mj in enumerate(slots):
             rows[mi][mj] = block[bi][bj]
     return rows, den
 
 
+def _block_mat(rows, den) -> Mat:
+    return Mat(rows) if den is None else Mat.from_numerators(rows, den)
+
+
 def cardano_matrix(ctx: PrimeCtx, angles) -> Rot3:
     """R_z(alpha) R_y(beta) R_x(gamma) as a certified rotation.
 
     Rational and infinite parameters multiply as integer blocks over one
-    denominator; capped-precision parameters go through so2_make.
+    denominator; a capped-precision parameter sends the product through
+    Mat's entry path.
     """
-    angles = tuple(_as_param(x) for x in angles)
-    axes = tuple(zip((ctx.d_z, ctx.d_y, ctx.d_x), angles, (AXIS_SLOTS[a] for a in "zyx")))
-    if any(isinstance(t, PadicApprox) for t in angles):
-        z, y, x = (_embed(so2_make(ctx, d, t).mat, slots) for d, t, slots in axes)
+    blocks = [_axis_block(ctx, axis, t) for axis, t in zip(ctx.AXES, angles)]
+    if any(den is None for _, den in blocks):
+        z, y, x = (_block_mat(*block) for block in blocks)
         return Rot3(ctx, z * y * x)
-    (z, dz), (y, dy), (x, dx) = (_int_axis_block(d, t, slots) for d, t, slots in axes)
+    (z, dz), (y, dy), (x, dx) = blocks
     return Rot3(ctx, Mat.from_numerators(int_matmul(int_matmul(z, y), x), dz * dy * dx))
 
 
 def axis_rotation(ctx: PrimeCtx, axis: str, param) -> Rot3:
     """Rotation about one reference axis: z, y or x."""
-    d = {"z": ctx.d_z, "y": ctx.d_y, "x": ctx.d_x}[axis]
-    return Rot3(ctx, _embed(so2_make(ctx, d, param).mat, AXIS_SLOTS[axis]))
+    return Rot3(ctx, _block_mat(*_axis_block(ctx, axis, param)))
 
 
 @lru_cache(maxsize=None)

@@ -320,23 +320,16 @@ def invariance_suite(
     return results
 
 
-SUITE_NAMES = ("algebra", "iso", "jacobian", "measure", "invariance")
-
+# Suite name -> (suite, default draws), in the order `all` runs them.
 _SUITES = {
-    "algebra": algebra_suite,
-    "iso": iso_suite,
-    "jacobian": jacobian_suite,
-    "measure": measure_suite,
-    "invariance": invariance_suite,
+    "algebra": (algebra_suite, 200),
+    "iso": (iso_suite, 200),
+    "jacobian": (jacobian_suite, 200),
+    "measure": (measure_suite, 40),
+    "invariance": (invariance_suite, 2000),
 }
 
-_DEFAULT_SAMPLES = {
-    "algebra": 200,
-    "iso": 200,
-    "jacobian": 200,
-    "measure": 40,
-    "invariance": 2000,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(
@@ -351,7 +344,7 @@ def run_suites(
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite: {name!r}")
-        count = _DEFAULT_SAMPLES[name] if samples is None else samples
+        suite, default = _SUITES[name]
         rng = random.Random(f"so3p.verify:{seed}:{ctx.p}:{name}")
-        results.extend(_SUITES[name](ctx, count, rng))
+        results.extend(suite(ctx, default if samples is None else samples, rng))
     return results

@@ -391,3 +391,34 @@ class TestRoundTrips:
         code, out, _ = run(capsys, "classify", "--prime", "5", "10", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"schema": 1, "class": "UP"}
+
+
+class TestBoundaryInput:
+    IDENTITY_OF_BOOLS = "[[true,0,0],[0,true,0],[0,0,true]]"
+
+    def test_boolean_entries_exit_2(self, capsys):
+        code, out, err = run(capsys, "decompose", "--prime", "5", self.IDENTITY_OF_BOOLS)
+        assert (code, out) == (2, "")
+        assert "bool" in err
+        identity = "[[1,0,0],[0,1,0],[0,0,1]]"
+        code, out, err = run(capsys, "compose", "--prime", "5", self.IDENTITY_OF_BOOLS, identity)
+        assert (code, out) == (2, "")
+        assert "bool" in err
+
+    def test_pseudoprime_is_not_prime(self, capsys):
+        code, out, err = run(capsys, "classify", "--prime", "318665857834031151167461", "2")
+        assert (code, out) == (2, "")
+        assert "not prime" in err
+
+    def test_prime_at_proof_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--prime", "3317044064679887385961981", "2")
+        assert (code, out) == (2, "")
+        assert "no proof" in err
+
+    def test_capped_zero_feeds_back(self, capsys, monkeypatch):
+        code, text, _ = run(capsys, "rotate", "--prime", "7", "0 + O(7^3),1,1")
+        assert code == 0
+        assert "0 + O(7^3)" in text
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, angles, _ = run(capsys, "decompose", "--prime", "7", "-")
+        assert (code, angles) == (0, "0 + O(7^3),1,1\n")

@@ -15,6 +15,7 @@ from so3p.formats import (
     format_quat,
     format_rational,
     format_region,
+    matrix_from_obj,
     matrix_rows,
     parse_angles,
     parse_matrix_json,
@@ -25,7 +26,7 @@ from so3p.formats import (
 )
 from so3p.haar import BallQp, RegionQp, ShellQp
 from so3p.linalg import Mat
-from so3p.padic import INF, PadicApprox, canonical_units, hensel_sqrt
+from so3p.padic import INF, PadicApprox, canonical_units, hensel_sqrt, values_agree
 
 
 class TestNumbers:
@@ -226,3 +227,44 @@ class TestAngleRoundTrip:
         assert a.gamma is INF
         with pytest.raises(ValueError):
             parse_angles("3^0 * [2,0,2],1", 3)
+
+
+class TestBoundaryLiterals:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_json_booleans_are_no_entries(self, flag):
+        with pytest.raises(ValueError, match="bool"):
+            matrix_from_obj([[flag, 0], [0, 1]], 5)
+        with pytest.raises(ValueError, match="bool"):
+            parse_matrix_json(json.dumps([[1, 0], [0, flag]]))
+
+    def test_capped_zero_literal(self):
+        assert parse_number("0 + O(7^3)", 7) == PadicApprox.zero(7, 3)
+        assert parse_number(" 0+O(3^-2) ") == PadicApprox.zero(3, -2)
+        with pytest.raises(ValueError):
+            parse_number("0 + O(5^3)", 7)
+        with pytest.raises(ValueError):
+            parse_number("1 + O(7^3)", 7)
+
+
+@st.composite
+def numbers(draw):
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(("entry", "capped zero", "exact zero")))
+    if kind == "capped zero":
+        return p, PadicApprox.zero(p, draw(st.integers(-8, 8)))
+    if kind == "exact zero":
+        return p, PadicApprox.zero(p)
+    return p, draw(angle_entries(p))
+
+
+class TestNumberRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(numbers())
+    def test_format_then_parse(self, case):
+        p, x = case
+        back = parse_number(format_number(x), p)
+        if x == PadicApprox.zero(p):
+            # the exact zero prints as the rational 0
+            assert back == 0 and values_agree(back, x)
+        else:
+            assert back == x

@@ -260,3 +260,27 @@ def test_scaled_keeps_relative_digits(p):
     assert a.scaled(F(1, 9)).n == 16 and a.scaled(F(1, 9)).val == -2
     assert a.scaled(0) == PadicApprox.zero(3)
     assert PadicApprox.zero(3, 5).scaled(F(9, 2)) == PadicApprox.zero(3, 7)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_axis_table(p):
+    ctx = canonical_units(p)
+    assert tuple(ctx.AXES) == ("z", "y", "x")
+    assert (ctx.axis_d("z"), ctx.axis_d("y"), ctx.axis_d("x")) == (-ctx.v, p, F(-p, ctx.v))
+    assert (ctx.d_z, ctx.d_y, ctx.d_x) == tuple(ctx.so2_catalog()[k] for k in ctx.AXES.values())
+    with pytest.raises(ValueError, match="axis must be z, y or x"):
+        ctx.axis_d("w")
+
+
+def test_strong_pseudoprime_to_the_first_twelve_primes():
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="odd prime"):
+        canonical_units(n)
+
+
+@pytest.mark.parametrize("p", [3317044064679887385961981, 3317044064679887385961982, 2**89 - 1])
+def test_no_context_where_the_primality_test_is_no_proof(p):
+    with pytest.raises(ValueError, match="no proof"):
+        canonical_units(p)

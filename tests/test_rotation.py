@@ -620,3 +620,56 @@ class TestPrecisionBudget:
         assert (t.gamma.val, t.gamma.digits()) == (-5, (2,))
         assert valuation(t.beta, 7) >= 0
         assert cardano_matrix(ctx, t).mat.agrees(r.mat)
+
+
+# The paper's axis data, written out independently of PrimeCtx.AXES and of
+# the block builder: d = -v, p, -p/v at rows/columns (0,1), (0,2), (1,2).
+def hand_axis(ctx, axis):
+    return {
+        "z": (Fraction(-ctx.v), (0, 1)),
+        "y": (Fraction(ctx.p), (0, 2)),
+        "x": (Fraction(-ctx.p, ctx.v), (1, 2)),
+    }[axis]
+
+
+def hand_embedded(ctx, axis, t):
+    """so2_make's block for the axis, written into the 3x3 identity by hand."""
+    d, (i, j) = hand_axis(ctx, axis)
+    (c, ms), (s, c2) = so2_make(ctx, d, t).mat.rows
+    rows = [list(r) for r in Mat.identity(3).rows]
+    rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, ms, s, c2
+    return tuple(tuple(r) for r in rows)
+
+
+def mixed_param(rng, ctx, kind):
+    if kind == "inf":
+        return INF
+    if kind == "capped":
+        if rng.random() < 0.1:
+            return PadicApprox.zero(ctx.p, rng.randint(1, 6))
+        return PadicApprox.from_rational(rand_rational(rng, ctx.p), ctx.p, rng.randint(4, 16))
+    return rand_rational(rng, ctx.p) if rng.random() < 0.85 else Fraction(0)
+
+
+class TestAxisBlocks:
+    @pytest.mark.parametrize("kind", ["rational", "inf", "capped"])
+    def test_axis_rotation_is_the_hand_embedded_block(self, ctx, kind):
+        rng = random.Random(41 + ctx.p)
+        for _ in range(10):
+            for axis in "zyx":
+                t = mixed_param(rng, ctx, kind)
+                assert axis_rotation(ctx, axis, t).mat.rows == hand_embedded(ctx, axis, t)
+
+    @pytest.mark.parametrize("capped", [1, 2, 3])
+    def test_capped_parameters_keep_the_entry_product(self, ctx, capped):
+        rng = random.Random(43 + 7 * capped + ctx.p)
+        for _ in range(30):
+            kinds = [rng.choice(("rational", "rational", "inf")) for _ in range(3)]
+            for where in rng.sample(range(3), capped):
+                kinds[where] = "capped"
+            t = tuple(mixed_param(rng, ctx, k) for k in kinds)
+            z, y, x = (Mat(hand_embedded(ctx, a, s)) for a, s in zip("zyx", t))
+            got = cardano_matrix(ctx, t).mat
+            assert got.integer_form() is None
+            # same entries, digit for digit, as the product of the blocks
+            assert got.rows == (z * y * x).rows
