@@ -58,10 +58,13 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """The literal of n / d (d > 0) in lowest terms: `n` or `n/d`."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def parse_number(token: str, p: int | None = None):
@@ -145,7 +148,11 @@ def parse_matrix_json(text: str, p: int | None = None) -> Mat:
 
 def matrix_rows(m: Mat) -> list:
     """The JSON-ready form: rows of number-literal strings."""
-    return [[format_number(e) for e in row] for row in m.rows]
+    ints = m.integer_form()
+    if ints is None:
+        return [[format_number(e) for e in row] for row in m.rows]
+    num, den = ints
+    return [[_ratio_text(n, den) for n in row] for row in num]
 
 
 def format_matrix_json(m: Mat) -> str:

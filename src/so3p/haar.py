@@ -416,38 +416,67 @@ def jacobian_weight(ctx: PrimeCtx, angles) -> JacobianReport:
     return JacobianReport(direct=direct, closed=closed, quotient=quotient, weight=weight)
 
 
-def sample_so2_param(ctx: PrimeCtx, d, rng, digits: int = 32) -> Fraction:
+def _randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), drawn from getrandbits the way randrange draws it:
+    n's bit length per draw, rejecting values >= n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _digits(rng: random.Random, p: int, count: int) -> int:
+    """count uniform base-p digits, the least significant drawn first.
+
+    Each digit is rng.randrange(p), inlined as in _randbelow, and the
+    value is folded by Horner's rule from the last digit drawn.
+    """
+    getrandbits = rng.getrandbits
+    k = p.bit_length()
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        drawn.append(r)
+    acc = 0
+    for r in reversed(drawn):
+        acc = acc * p + r
+    return acc
+
+
+def sample_so2_param(ctx: PrimeCtx, d, rng: random.Random, digits: int = 32) -> Fraction:
     """One draw from the normalized Haar measure of SO(2)_{p,d}.
 
     The piece is chosen first with its exact probability, Z_p getting
     1/total and shell k getting (1 - 1/p) p^(e-k)/total; within the piece
     the value is `digits` uniform base-p digits.  Infinity has probability
-    zero and is never returned.  Any explicitly seeded generator with a
-    `randrange` method works.
+    zero and is never returned.  The generator must be an explicitly seeded
+    `random.Random`: its `getrandbits` is drawn from exactly as
+    `randrange` would draw, so the stream for a seed is that of randrange.
     """
-    so2_form(ctx, d)
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
+    d = so2_form(ctx, d).diag[1]
     p = ctx.p
-    e = valuation(Fraction(d), p)
-    # P(Z_p) is p/(p+1) when e = 0 and 1/2 when e = 1.
-    if e == 0:
-        in_zp = rng.randrange(p + 1) != 0
+    # P(Z_p) is p/(p+1) when e = 0 and 1/2 when e = 1.  A catalog d has
+    # valuation 0 or 1 and a denominator prime to p, so e = 1 exactly when
+    # p divides its numerator.
+    if d.numerator % p:
+        in_zp = _randbelow(rng, p + 1) != 0
     else:
-        in_zp = rng.randrange(2) == 0
+        in_zp = _randbelow(rng, 2) == 0
     if in_zp:
-        acc = 0
-        for i in range(digits):
-            acc += rng.randrange(p) * p**i
-        return Fraction(acc)
+        return Fraction(_digits(rng, p, digits))
     k = 1
-    while rng.randrange(p) == 0:
+    while _randbelow(rng, p) == 0:
         k += 1
-    acc = rng.randrange(1, p)
-    for i in range(1, digits):
-        acc += rng.randrange(p) * p**i
-    return Fraction(acc, p**k)
+    lead = 1 + _randbelow(rng, p - 1)
+    return Fraction(lead + p * _digits(rng, p, digits - 1), p**k)
 
 
-def sample_so3(ctx: PrimeCtx, rng, digits: int = 32) -> tuple:
+def sample_so3(ctx: PrimeCtx, rng: random.Random, digits: int = 32) -> tuple:
     """A Haar-random rotation: three independent axis draws, certified."""
     angles = Angles(*(sample_so2_param(ctx, ctx.axis_d(axis), rng, digits) for axis in ctx.AXES))
     return angles, cardano_matrix(ctx, angles)
@@ -470,6 +499,12 @@ def sample_so3_batch(ctx: PrimeCtx, seed, count: int, digits: int = 32, threads:
     `threads` is accepted and has no effect: the draws are GIL-bound
     Fraction work, and a thread pool made them slower.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     draws = []
     for idx in range((count + _BATCH_CHUNK - 1) // _BATCH_CHUNK):
         rng = _stream_rng(seed, idx)

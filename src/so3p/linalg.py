@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .padic import PrimeCtx, values_agree
 
@@ -210,6 +210,12 @@ def _det(rows):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        # The expansion below for n = 3, unrolled: the same products, signs
+        # and sums in the same order, so capped-precision entries lose
+        # exactly the digits they lose there.
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
     total = None
     for j in range(n):
         minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
@@ -234,6 +240,12 @@ class QuadForm:
     def gram(self) -> Mat:
         return Mat.diagonal(self.diag)
 
+    @cached_property
+    def _integer_diag(self):
+        """Integer g with diag == g / e for one integer e, or None unless
+        every entry is a Fraction."""
+        return clear_denominators((self.diag,))[0][0] if _all_fractions((self.diag,)) else None
+
     def eval(self, vec):
         vec = tuple(vec)
         if len(vec) != self.dim:
@@ -245,18 +257,15 @@ class QuadForm:
 
 
 @lru_cache(maxsize=None)
-def _catalog_forms(ctx: PrimeCtx) -> tuple:
-    return tuple(
-        (d, QuadForm(name=f"diag(1,{d})", diag=(Fraction(1), d)))
-        for d in ctx.so2_catalog().values()
-    )
+def _catalog_forms(ctx: PrimeCtx) -> dict:
+    return {d: QuadForm(name=f"diag(1,{d})", diag=(Fraction(1), d)) for d in ctx.so2_catalog().values()}
 
 
 def so2_form(ctx: PrimeCtx, d: Fraction) -> QuadForm:
-    for key, form in _catalog_forms(ctx):
-        if d == key:
-            return form
-    raise ValueError(f"d = {d} is outside the catalog for p = {ctx.p}")
+    try:
+        return _catalog_forms(ctx)[d]
+    except (KeyError, TypeError):
+        raise ValueError(f"d = {d} is outside the catalog for p = {ctx.p}") from None
 
 
 @lru_cache(maxsize=None)
@@ -287,8 +296,9 @@ def is_special_isometry(m: Mat, form: QuadForm) -> bool:
     if m.n != form.dim:
         return False
     ints = m.integer_form()
-    if ints is not None and _all_fractions((form.diag,)):
-        return _int_special_isometry(*ints, form.diag)
+    g = form._integer_diag
+    if ints is not None and g is not None:
+        return _int_special_isometry(*ints, g)
     diag = form.diag
     n = m.n
     zero = Fraction(0)
@@ -302,10 +312,9 @@ def is_special_isometry(m: Mat, form: QuadForm) -> bool:
     return values_agree(m.det(), Fraction(1))
 
 
-def _int_special_isometry(num, den: int, diag) -> bool:
+def _int_special_isometry(num, den: int, g) -> bool:
     # With M = N / D and G = g / e for integer N, g: M^T G M = G and
     # det M = 1 are the integer identities N^T g N = D^2 g and det N = D^n.
-    (g,), _ = clear_denominators((diag,))
     n = len(num)
     cols = list(zip(*num))
     for i in range(n):

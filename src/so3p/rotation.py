@@ -165,11 +165,13 @@ class Rot3:
         return Rot3(self.ctx, self.mat * other.mat)
 
     def inverse(self) -> "Rot3":
-        # For an isometry of G, the inverse is G^-1 M^T G: cheaper and
-        # exactly rational, no general matrix inversion involved.
+        # For an isometry of G = diag(g), the inverse is G^-1 M^T G, whose
+        # (i, j) entry is M[j][i] g_j / g_i: a scaling of the transpose by
+        # exact ratios, which keeps every digit of capped entries.
         g = aplus(self.ctx).diag
-        ginv = Mat.diagonal(1 / e for e in g)
-        return Rot3(self.ctx, ginv * self.mat.transpose() * Mat.diagonal(g))
+        m = self.mat.rows
+        rows = [[_times(m[j][i], g[j] / g[i]) for j in range(3)] for i in range(3)]
+        return Rot3(self.ctx, Mat(rows))
 
     def trace(self):
         return self.mat.trace()

@@ -1,5 +1,6 @@
 """Command-line behavior: literals in, exact text or JSON out, exit codes."""
 
+import hashlib
 import io
 import json
 import sys
@@ -422,3 +423,35 @@ class TestBoundaryInput:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, angles, _ = run(capsys, "decompose", "--prime", "7", "-")
         assert (code, angles) == (0, "0 + O(7^3),1,1\n")
+
+
+class TestPinnedSampleStream:
+    """`haar sample` prints the same bytes for the same configuration and
+    seed, release after release: sha256 of stdout, recorded once."""
+
+    DIGESTS = {
+        (3, "text", False): "2ace46db544d766c732b7cd0a320b21a02238f9a5bd90bbaaa1b2d3459ab05c8",
+        (3, "text", True): "c671a911364b7ff44c6bf7de3555bd33ad8bd722f727fbfb0229cd8886783c2a",
+        (3, "json", False): "7f1ad863df644787f6c49b02fdb4d223092a5821d245037964aad3986ae2cce2",
+        (3, "json", True): "46afb93e6f0d2e86e0384259ea071dadf2f9ddddd7a3eeae885078e00e49d6c4",
+        (7, "text", False): "32974be6d9af2d502b309de8cad72634fc22e85c372684011d2a902d30b7680d",
+        (7, "text", True): "93ce9d15571658562180e5b6409571d8859f0f5629475f2370260cf96dc7900b",
+        (7, "json", False): "d8a54a9113723cf062e24636302a1cea44446ad57e786ba816fbb90c53582dd9",
+        (7, "json", True): "fa2de753bd0c074755379a364057f95fd738506bd14f4db162108416761c70fa",
+        (13, "text", False): "ab7fde95f8e38da416c596c44f142731ff6ada4799b4f422167e0ed66c19dee1",
+        (13, "text", True): "930e70df93a9ee56aed395c0756ef4cc0476536fad1b31b7dfcd9c69492c366d",
+        (13, "json", False): "4c601273b8c825798c3f9cd27bc5c645105a46423dffbb48d7921c1de079dba6",
+        (13, "json", True): "7706352632798ac646165be29aa9584527107d1671414f49e63e97ecd6e67d41",
+        (4294967311, "text", False): "32541ccfbb703fda646fc2233f83ba8d8950de9994056bbc4c8248a7819e39bd",
+        (4294967311, "text", True): "7205e928456e0e08d6dc84e64447ea6d2f1739c6dc52f68c56c4b2e7d69575bf",
+        (4294967311, "json", False): "6ea9f88f5022671145119cfa5e81e7b58cf533eead8aa08995f7ccd7ee83a6fb",
+        (4294967311, "json", True): "24869268984bb25a18b1727f32aedf74d989e3280df71d3efb4ab5f95be76fa2",
+    }
+
+    @pytest.mark.parametrize("p, fmt, matrices", sorted(DIGESTS))
+    def test_stdout_digest(self, capsys, p, fmt, matrices):
+        argv = ["haar", "sample", "--prime", str(p), "--count", "40", "--seed", "2026",
+                "--precision", "12", "--format", fmt]
+        code, out, err = run(capsys, *argv, *(["--matrices"] if matrices else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[p, fmt, matrices]

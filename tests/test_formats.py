@@ -268,3 +268,34 @@ class TestNumberRoundTrip:
             assert back == 0 and values_agree(back, x)
         else:
             assert back == x
+
+
+@st.composite
+def integer_form_matrices(draw):
+    """Integer rows N (negative, zero and integer entries included) over a
+    denominator D >= 1, optionally sharing a factor with every entry."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 1, 2, 9, 25, 49 * 13])) * draw(st.integers(1, 40))
+    small = st.integers(-60, 60) | st.integers(-(10**40), 10**40)
+    num = [[draw(small) for _ in range(n)] for _ in range(n)]
+    common = draw(st.integers(1, 12))
+    return [[e * common for e in r] for r in num], den * common
+
+
+class TestMatrixRowsFromIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_form_matrices())
+    def test_matches_entrywise_format(self, case):
+        num, den = case
+        built = Mat.from_numerators(num, den)
+        fresh = Mat(tuple(tuple(Fraction(e, den) for e in r) for r in num))
+        expected = [[format_number(e) for e in row] for row in fresh.rows]
+        assert matrix_rows(built) == expected
+        assert matrix_rows(fresh) == expected
+        assert format_matrix_json(built) == json.dumps(expected)
+
+    def test_capped_entries_format_one_by_one(self):
+        x = PadicApprox.from_rational(Fraction(2, 5), 3, 6)
+        m = Mat(((x, Fraction(-4, 6)), (PadicApprox.zero(3, 4), Fraction(7))))
+        assert m.integer_form() is None
+        assert matrix_rows(m) == [[format_number(x), "-2/3"], ["0 + O(3^4)", "7"]]

@@ -447,6 +447,72 @@ class TestSampler:
         short = sample_so3_batch(ctx, 9, 64, digits=3)
         assert [a for a, _ in long[:64]] == [a for a, _ in short]
 
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_digit_count_below_one_raises(self, ctx, digits):
+        for d in ctx.so2_catalog().values():
+            with pytest.raises(ValueError, match="digits"):
+                sample_so2_param(ctx, d, random.Random(1), digits=digits)
+        with pytest.raises(ValueError, match="digits"):
+            sample_so3(ctx, random.Random(1), digits=digits)
+        for count in (0, 3):
+            with pytest.raises(ValueError, match="digits"):
+                sample_so3_batch(ctx, 1, count, digits=digits)
+
+    def test_batch_bounds(self):
+        ctx = canonical_units(7)
+        for count in (-1, -5):
+            with pytest.raises(ValueError, match="count"):
+                sample_so3_batch(ctx, 1, count)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                sample_so3_batch(ctx, 1, 2, threads=threads)
+        assert sample_so3_batch(ctx, 1, 0) == []
+        assert len(sample_so3_batch(ctx, 1, 2, digits=1)) == 2
+
+
+def randrange_param(ctx, d, rng, digits):
+    """sample_so2_param as it was written on rng.randrange, digit by digit:
+    the reference for the stream the getrandbits draws must reproduce."""
+    p = ctx.p
+    e = valuation(F(d), p)
+    if e == 0:
+        in_zp = rng.randrange(p + 1) != 0
+    else:
+        in_zp = rng.randrange(2) == 0
+    if in_zp:
+        acc = 0
+        for i in range(digits):
+            acc += rng.randrange(p) * p**i
+        return F(acc)
+    k = 1
+    while rng.randrange(p) == 0:
+        k += 1
+    acc = rng.randrange(1, p)
+    for i in range(1, digits):
+        acc += rng.randrange(p) * p**i
+    return F(acc, p**k)
+
+
+class TestSamplerStream:
+    # 4294967311 and 2**61 - 1 need more than one 32-bit word per digit.
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 2**31 - 1, 4294967311, 2**61 - 1])
+    @pytest.mark.parametrize("digits", [1, 2, 32])
+    def test_draws_consume_the_generator_as_randrange(self, p, digits):
+        ctx = canonical_units(p)
+        catalog = ctx.so2_catalog()
+        assert valuation(catalog["-v"], p) == 0 and valuation(catalog["p"], p) == 1
+        draws = 60 if p < 20 else 20
+        for key, d in catalog.items():
+            rng, ref = random.Random(f"{p}:{digits}:{key}"), random.Random(f"{p}:{digits}:{key}")
+            shells = 0
+            for _ in range(draws):
+                x = sample_so2_param(ctx, d, rng, digits)
+                assert x == randrange_param(ctx, d, ref, digits)
+                assert rng.getstate() == ref.getstate()
+                shells += x.denominator > 1
+            if p < 20:
+                assert 0 < shells < draws, key
+
 
 class TestMobius:
     def test_translation_by_zero(self, ctx):

@@ -16,7 +16,8 @@ from so3p.linalg import (
     so2_form,
 )
 from so3p.padic import PadicApprox, canonical_units
-from so3p.rotation import cardano_matrix
+from so3p.quaternion import quat
+from so3p.rotation import cardano_matrix, decompose_cardano, quat_to_rotation
 
 F = Fraction
 
@@ -196,3 +197,85 @@ def test_padic_certificate_takes_generic_path(p):
     rows = [list(r) for r in approx.rows]
     rows[0][0] = rows[0][0] + F(1)
     assert not is_special_isometry(Mat(rows), aplus(ctx))
+
+
+def recursive_det(rows):
+    """Laplace expansion along the first row, recursing to 2x2: the
+    reference for the unrolled 3x3 determinant."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = None
+    for j in range(n):
+        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
+        term = rows[0][j] * recursive_det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unrolled_det_keeps_every_capped_digit(p):
+    # Capped matrices from the Cardano chart at Hensel-path angles: their
+    # determinants are 1 to a precision set by cancellation in the very
+    # products and sums the expansion performs, so a reordered formula
+    # would show up as different (val, mant, n).
+    ctx = canonical_units(p)
+    rng = random.Random(811 + p)
+    capped = 0
+    while capped < 8:
+        x = quat(ctx, *(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
+        if x.is_zero:
+            continue
+        r = quat_to_rotation(x)
+        assert r.mat.det() == recursive_det(r.mat.rows) == 1
+        num, den = r.mat.integer_form()
+        assert recursive_det(num) == r.mat.det() * den**3
+        angles = decompose_cardano(r, precision=rng.choice((6, 12, 20)))
+        if all(isinstance(t, Fraction) for t in angles):
+            continue
+        m = cardano_matrix(ctx, angles).mat
+        assert m.integer_form() is None
+        got, expected = m.det(), recursive_det(m.rows)
+        assert isinstance(got, PadicApprox)
+        assert (got.val, got.mant, got.n) == (expected.val, expected.mant, expected.n)
+        capped += 1
+
+
+def capped_entry(rng, p):
+    r = rng.random()
+    if r < 0.1:
+        return PadicApprox.zero(p, rng.randint(0, 6))
+    if r < 0.25:
+        return F(rng.randint(-20, 20), rng.choice((1, 1, p, p * p)))
+    x = F(rng.randint(1, 400), rng.randint(1, 50)) * F(p) ** rng.randint(-2, 3)
+    return PadicApprox.from_rational(x, p, rng.randint(1, 10))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unrolled_det_on_mixed_precision_matrices(p):
+    # Entries of unequal precision and valuation, capped zeros and exact
+    # entries: here a determinant expanded in another way, such as fully
+    # distributed products, knows a different number of digits.
+    rng = random.Random(823 + p)
+    for _ in range(200):
+        rows = tuple(tuple(capped_entry(rng, p) for _ in range(3)) for _ in range(3))
+        got, expected = Mat(rows).det(), recursive_det(rows)
+        assert type(got) is type(expected)
+        if isinstance(got, PadicApprox):
+            assert (got.val, got.mant, got.n) == (expected.val, expected.mant, expected.n)
+        else:
+            assert got == expected
+
+
+def test_catalog_lookup_accepts_equal_numbers_only():
+    ctx = canonical_units(7)
+    for d in ctx.so2_catalog().values():
+        assert so2_form(ctx, d).diag == (F(1), d)
+    assert so2_form(ctx, 7) is so2_form(ctx, F(7))
+    for bad in (F(2), "7", [7], PadicApprox.from_rational(F(7), 7, 4)):
+        with pytest.raises(ValueError, match="outside the catalog"):
+            so2_form(ctx, bad)

@@ -7,7 +7,7 @@ import pytest
 
 from so3p.errors import CertificateError, PrecisionExhausted
 from so3p.formats import parse_matrix_json
-from so3p.linalg import Mat, lambda_inverse, lambda_matrix, so2_form, is_special_isometry
+from so3p.linalg import Mat, aplus, lambda_inverse, lambda_matrix, so2_form, is_special_isometry
 from so3p.padic import INF, Infinity, PadicApprox, canonical_units, valuation, values_agree
 from so3p.quaternion import Quat, conj_action_matrix, quat
 from so3p.rotation import (
@@ -673,3 +673,52 @@ class TestAxisBlocks:
             assert got.integer_form() is None
             # same entries, digit for digit, as the product of the blocks
             assert got.rows == (z * y * x).rows
+
+
+def inverse_by_products(r):
+    """G^-1 M^T G as two Mat products: the reference for Rot3.inverse."""
+    g = aplus(r.ctx).diag
+    ginv = Mat.diagonal(1 / e for e in g)
+    return Rot3(r.ctx, ginv * r.mat.transpose() * Mat.diagonal(g))
+
+
+def known_to(x):
+    return x.abs_known if isinstance(x, PadicApprox) else float("inf")
+
+
+class TestInverse:
+    def test_exact_matches_products(self, ctx):
+        rng = random.Random(47 + ctx.p)
+        identity = identity_rotation(ctx)
+        for i in range(30):
+            r = quat_to_rotation(rand_quat(rng, ctx)) if i % 2 else cardano_matrix(ctx, rand_triple(rng, ctx, 0.3))
+            inv = r.inverse()
+            assert inv.mat.integer_form() is not None
+            assert inv.mat.rows == inverse_by_products(r).mat.rows
+            assert r * inv == identity and inv * r == identity
+            assert inv.inverse() == r
+
+    def test_capped_agrees_with_products_and_knows_no_less(self, ctx):
+        rng = random.Random(53 + ctx.p)
+        identity = identity_rotation(ctx).mat
+        for _ in range(30):
+            kinds = [rng.choice(("rational", "inf", "capped")) for _ in range(3)]
+            kinds[rng.randrange(3)] = "capped"
+            r = cardano_matrix(ctx, tuple(mixed_param(rng, ctx, k) for k in kinds))
+            assert r.mat.integer_form() is None
+            inv, ref = r.inverse(), inverse_by_products(r)
+            assert inv.mat.agrees(ref.mat)
+            for got, old in zip(sum(inv.mat.rows, ()), sum(ref.mat.rows, ())):
+                assert known_to(got) >= known_to(old)
+            # exact scalings by g_j / g_i and back lose no digit
+            assert inv.inverse().mat.rows == r.mat.rows
+            assert (r * inv).mat.agrees(identity) and (inv * r).mat.agrees(identity)
+
+    def test_inverse_is_certified(self, ctx, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "so3p.rotation.is_special_isometry", lambda m, f: calls.append(m) or is_special_isometry(m, f)
+        )
+        r = cardano_matrix(ctx, (Fraction(1), Fraction(2), Fraction(1, 3)))
+        inv = r.inverse()
+        assert calls[-1] is inv.mat and len(calls) == 2
