@@ -235,6 +235,10 @@ def parse_region(text: str, p: int) -> RegionQp:
 
 
 def format_region(region: RegionQp) -> str:
+    """The union literal that `parse_region` reads back as `region`.
+
+    The empty region has no literal and raises `RegionError`.
+    """
     parts = []
     if region.include_zp:
         parts.append("zp")
@@ -242,4 +246,6 @@ def format_region(region: RegionQp) -> str:
     parts.extend(f"shell:{s.k}" for s in region.shells)
     if region.tail_from is not None:
         parts.append(f"tail:{region.tail_from}")
+    if not parts:
+        raise RegionError("the empty region has no literal")
     return ",".join(parts)

@@ -8,11 +8,12 @@ the product of the three axis measures (d = -v, p, -p/v); its total mass
 is 4(p+1)/p, and dividing by that constant gives the normalized Haar
 probability measure.
 
-Integration is exact.  Regions are finite unions of balls and shells plus
-optional Z_p and full-tail flags; on each ball the density is certified
-locally constant by an ultrametric bound or the ball is split into its p
-children, and shells and tails are summed in closed geometric form.  Every
-mass is an exact `Fraction`.
+Integration is exact and takes time independent of p.  For every catalog
+d, 1 + d sigma^2 is a unit on Z_p (-d is a non-square unit, or v_p(d) = 1)
+and has valuation v_p(d) + 2 v_p(sigma) off it, so the density depends on
+v_p(sigma) alone.  Regions are finite unions of balls and shells plus
+optional Z_p and full-tail flags; each ball, shell and tail is summed in
+closed geometric form.  Every mass is an exact `Fraction`.
 
 Sampling draws the piece (Z_p or a shell) with its exact probability, then
 fills in uniform digits.  Left translation acts on the parameter line as a
@@ -133,6 +134,20 @@ def _intersects(p: int, x, y) -> bool:
     return True
 
 
+def _first_overlap(p: int, groups):
+    """The first intersecting pair of pieces from two different groups, or None.
+
+    Pieces within one group are taken as disjoint already.
+    """
+    for i, group in enumerate(groups):
+        for x in group:
+            for later in groups[i + 1 :]:
+                for y in later:
+                    if _intersects(p, x, y):
+                        return x, y
+    return None
+
+
 @dataclass(frozen=True)
 class RegionQp:
     """A finite disjoint union of balls and shells in Q_p.
@@ -166,11 +181,9 @@ class RegionQp:
             not isinstance(self.tail_from, int) or self.tail_from < 1
         ):
             raise RegionError("tail must start at a shell index >= 1")
-        pieces = self._pieces()
-        for i, x in enumerate(pieces):
-            for y in pieces[i + 1 :]:
-                if _intersects(self.p, x, y):
-                    raise RegionError(f"region pieces overlap: {x} and {y}")
+        overlap = _first_overlap(self.p, [(x,) for x in self._pieces()])
+        if overlap:
+            raise RegionError("region pieces overlap: {} and {}".format(*overlap))
 
     def _pieces(self) -> tuple:
         pieces = list(self.balls)
@@ -244,30 +257,31 @@ def hquat_density(x: Quat) -> Fraction:
     return abs_p(x.nrd(), x.ctx.p) ** (-2)
 
 
-def _ball_mass_so2(ctx: PrimeCtx, d: Fraction, center: Fraction, k: int) -> Fraction:
-    p = ctx.p
-    t = 1 + d * center * center
-    vt = valuation(t, p)
-    # On the ball the density shifts by d(2c eps + eps^2) with eps in p^k Z_p;
-    # when v(1 + d c^2) is strictly below both increment bounds the valuation
-    # is constant across the ball.
-    bound = min(valuation(2 * d * center, p) + k, valuation(d, p) + 2 * k)
-    if vt < bound:
-        return Fraction(p) ** (vt - k)
-    step = Fraction(p) ** k
-    return sum(
-        (_ball_mass_so2(ctx, d, center + a * step, k + 1) for a in range(1, p)),
-        _ball_mass_so2(ctx, d, center, k + 1),
-    )
+def _ball_mass_so2(p: int, e: int, c: Fraction, k: int) -> Fraction:
+    """Mass of the ball c + p^k Z_p under the density p^min(0, e + 2 v(sigma)).
+
+    That is the density 1/|1 + d sigma^2|_p of every catalog d with
+    e = v_p(d); see the module docstring.
+    """
+    w = valuation(c, p)
+    if w < k:
+        # every point of the ball has valuation w
+        return Fraction(p) ** (min(0, e + 2 * w) - k)
+    if k >= 0:
+        # p^k Z_p lies in Z_p, where the density is 1
+        return Fraction(p) ** -k
+    # Z_p plus the shells 1..-k, shell j of mass (1 - 1/p) p^(e - j)
+    return 1 + Fraction(p) ** (e - 1) - Fraction(p) ** (e - 1 + k)
 
 
 def integrate_so2(ctx: PrimeCtx, d, region: RegionQp) -> Fraction:
     """Exact Haar mass of a region of the SO(2)_{p,d} parameter line.
 
-    Balls go through the constancy certificate with recursive splitting;
-    a shell of index k has the constant density p^(e - 2k) with e = v_p(d),
-    giving mass (1 - 1/p) p^(e - k), and a full tail from K sums to
-    p^(e - K) in closed form.
+    The density is p^min(0, e + 2 v(sigma)) with e = v_p(d), so every piece
+    has a closed form: a ball missing 0 has constant density, a ball
+    p^k Z_p is Z_p plus whole shells when k < 0, a shell of index k has
+    density p^(e - 2k) and mass (1 - 1/p) p^(e - k), and a full tail from K
+    sums to p^(e - K).  The time taken does not depend on p.
     """
     so2_form(ctx, d)
     d = Fraction(d)
@@ -279,9 +293,9 @@ def integrate_so2(ctx: PrimeCtx, d, region: RegionQp) -> Fraction:
     e = valuation(d, p)
     total = Fraction(0)
     if region.include_zp:
-        total += _ball_mass_so2(ctx, d, Fraction(0), 0)
+        total += _ball_mass_so2(p, e, Fraction(0), 0)
     for b in region.balls:
-        total += _ball_mass_so2(ctx, d, b.center, b.k)
+        total += _ball_mass_so2(p, e, b.center, b.k)
     for s in region.shells:
         total += (1 - Fraction(1, p)) * Fraction(p) ** (e - s.k)
     if region.tail_from is not None:
@@ -322,15 +336,11 @@ def axis_integral(ctx: PrimeCtx, axis: str, steps) -> Fraction:
     """
     d = ctx.axis_d(axis)
     steps = [(region, Fraction(value)) for region, value in steps]
-    pieces = []
-    for region, _ in steps:
-        if not isinstance(region, RegionQp):
-            raise RegionError("each step needs a RegionQp")
-        pieces.extend(region._pieces())
-    for i, x in enumerate(pieces):
-        for y in pieces[i + 1 :]:
-            if _intersects(ctx.p, x, y):
-                raise RegionError(f"step regions overlap: {x} and {y}")
+    if not all(isinstance(region, RegionQp) for region, _ in steps):
+        raise RegionError("each step needs a RegionQp")
+    overlap = _first_overlap(ctx.p, [region._pieces() for region, _ in steps])
+    if overlap:
+        raise RegionError("step regions overlap: {} and {}".format(*overlap))
     acc = Fraction(0)
     for region, value in steps:
         acc += value * integrate_so2(ctx, d, region)

@@ -71,8 +71,8 @@ def test_criterion_02_so3_total_and_normalization():
 
 
 def test_criterion_03_zp_cube_mass():
-    # the integrator descends with the ball-constancy certificate, so this
-    # value is proved constant cell by cell rather than assumed
+    # the integrator sums Z_p in closed form from the density's valuation
+    # formula, which tests/test_haar.py checks point by point
     for p in PRIMES:
         ctx = canonical_units(p)
         box = [RegionQp.zp(p)] * 3

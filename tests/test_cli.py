@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,14 @@ class TestHaar:
         code, out, _ = run(capsys, "haar", "mass", "--group", tag, "--prime", "3")
         assert code == 0
         assert out == expected + "\n"
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    def test_mass_so3_large_prime(self, capsys, p):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "haar", "mass", "--group", "so3", "--prime", str(p))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == f"{4 * (p + 1)}/{p}\n"
 
     def test_integrate_zp(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 """Literal grammars: numbers, angles, matrices, quaternions, regions."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -190,6 +191,10 @@ class TestRegions:
         with pytest.raises(RegionError):
             parse_region("zp,ball:0,2", 3)
 
+    def test_empty_region_has_no_literal(self):
+        with pytest.raises(RegionError):
+            format_region(RegionQp(3))
+
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -299,3 +304,37 @@ class TestMatrixRowsFromIntegers:
         m = Mat(((x, Fraction(-4, 6)), (PadicApprox.zero(3, 4), Fraction(7))))
         assert m.integer_form() is None
         assert matrix_rows(m) == [[format_number(x), "-2/3"], ["0 + O(3^4)", "7"]]
+
+
+@st.composite
+def regions(draw):
+    """A non-empty disjoint region: pieces are added while they stay disjoint."""
+    p = draw(st.sampled_from(PRIMES))
+    center = st.builds(
+        lambda n, m, j: Fraction(n, m) * Fraction(p) ** j,
+        st.integers(-(p**3), p**3),
+        st.integers(1, 20).filter(lambda m: m % p),
+        st.integers(-4, 4),
+    )
+    pieces = st.one_of(
+        st.tuples(st.just("balls"), st.builds(BallQp, center, st.integers(-3, 4))),
+        st.tuples(st.just("shells"), st.builds(ShellQp, st.integers(1, 5))),
+        st.tuples(st.just("include_zp"), st.just(True)),
+        st.tuples(st.just("tail_from"), st.integers(1, 5)),
+    )
+    region = RegionQp(p)
+    for name, value in draw(st.lists(pieces, min_size=1, max_size=8)):
+        if name in ("balls", "shells"):
+            value = getattr(region, name) + (value,)
+        try:
+            region = dataclasses.replace(region, **{name: value})
+        except RegionError:
+            pass
+    return region
+
+
+class TestRegionRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(regions())
+    def test_format_then_parse_is_identity(self, region):
+        assert parse_region(format_region(region), region.p) == region

@@ -1,6 +1,7 @@
 """Measure tests: subdivision and dual-number oracles, frozen exact masses."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,19 @@ class TestDensities:
                 assert got > 0
                 v = valuation(got, ctx.p)
                 assert got in (F(ctx.p) ** v,)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 2**31 - 1])
+    def test_density_depends_on_valuation_alone(self, p):
+        # The integrator's closed forms rest on this: for every catalog d,
+        # 1 + d sigma^2 is a unit on Z_p and has valuation e + 2 v(sigma)
+        # off it.  A d with -d a square unit would break it.
+        ctx = canonical_units(p)
+        rng = random.Random(p)
+        for d in ctx.so2_catalog().values():
+            e = valuation(d, p)
+            for _ in range(60):
+                sigma = rand_rational(rng, p, vmin=-4, vmax=4)
+                assert so2_density(ctx, d, sigma) == F(p) ** min(0, e + 2 * valuation(sigma, p))
 
     def test_infinity_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -251,6 +265,24 @@ class TestIntegrator:
                     assert coarse == fine, "depth 3 not yet stable"
                     assert integrate_so2(ctx, d, region) == fine
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_riemann_oracle_each_closed_form(self, p):
+        # One ball per case of the closed form: a ball missing 0 (w < k),
+        # p^k Z_p inside Z_p (w >= k >= 0), and p^k Z_p as Z_p plus shells
+        # (w >= k, k < 0).  Children at level 0 or finer are exact.
+        ctx = canonical_units(p)
+        rng = random.Random(67)
+        for d in ctx.so2_catalog().values():
+            for k in (-2, -1, 0, 1, 2):
+                off_zero = rand_unit(rng, p) * F(p) ** rng.randint(k - 2, k - 1)
+                on_zero = rng.randint(0, p) * F(p) ** k
+                for center in (off_zero, on_zero, F(0)):
+                    region = RegionQp(p, balls=(BallQp(center, k),))
+                    depth = max(1, -k)
+                    fine = riemann_so2(ctx, d, region, depth + 1)
+                    assert riemann_so2(ctx, d, region, depth) == fine
+                    assert integrate_so2(ctx, d, region) == fine
+
     def test_riemann_oracle_mixed_region(self):
         ctx = canonical_units(7)
         region = RegionQp(7, balls=(BallQp(F(3, 7), 0),), shells=(ShellQp(2),), include_zp=True)
@@ -289,6 +321,34 @@ class TestIntegrator:
         assert integrate_so3(ctx, full3, normalized=True) == 1
         with pytest.raises(RegionError):
             integrate_so3(ctx, (RegionQp.zp(p),) * 2)
+
+
+@pytest.mark.parametrize("p", [7, 10**18 + 3, 2**61 - 1])
+class TestLargePrimes:
+    """Masses at primes far past any loop over residues, each in well under 1 s."""
+
+    def test_total_mass(self, p):
+        ctx = canonical_units(p)
+        start = time.perf_counter()
+        assert total_mass(ctx, "so3") == 4 * F(p + 1, p)
+        assert total_mass(ctx, "so2:-v") == F(p + 1, p)
+        assert total_mass(ctx, "so2:p") == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_ball_shell_tail(self, p):
+        ctx = canonical_units(p)
+        # B(1/p, 0) in shell 1, B(2, 1) in Z_p, shell 2 and the tail from 3;
+        # then B(0, -1), which is Z_p plus shell 1.  Keyed by e = v_p(d).
+        region = RegionQp(
+            p, balls=(BallQp(F(1, p), 0), BallQp(F(2), 1)), shells=(ShellQp(2),), tail_from=3
+        )
+        expected = {0: (F(p + 2, p * p), 1 + F(1, p) - F(1, p * p)), 1: (F(3, p), 2 - F(1, p))}
+        start = time.perf_counter()
+        for d in ctx.so2_catalog().values():
+            mixed, zp_and_shell = expected[valuation(d, p)]
+            assert integrate_so2(ctx, d, region) == mixed
+            assert integrate_so2(ctx, d, RegionQp.ball(p, 0, -1)) == zp_and_shell
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAxisIntegral:
