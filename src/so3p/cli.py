@@ -10,8 +10,9 @@ Output goes to stdout; diagnostics go to stderr.  `--format json` wraps
 every result in a schema-versioned object whose numbers are strings, so
 consumers never round an exact rational through a float.  Exit codes:
 0 success, 1 verification failure, 2 parse failure or bad prime,
-3 certificate failure or exhausted digit budget, 4 ambiguity, 5 malformed
-region.
+3 certificate failure or exhausted digit budget (including a capped matrix
+whose digits cannot tell alpha or gamma from infinity), 4 ambiguity (the
+canonical Cardano triple does not rebuild the matrix), 5 malformed region.
 
 Identical configuration and seed produce identical output bytes.
 `--threads` is accepted (at least 1) and has no effect: sampling runs its

@@ -12,8 +12,9 @@ Conventions fixed here once and used everywhere else:
   certifies membership on construction.
 * A rotation in the Cardano chart generically has exactly two triples:
   (a, b, g) and (1/(v*a), 1/(p*b), v/(p*g)) give the same matrix.
-  decompose_cardano returns the branch whose c_beta is 1 mod p, which is
-  the branch with beta in Z_p (or beta = 0 in place of infinity).
+  decompose_cardano takes the one whose c_beta is 1 mod p, which is the
+  triple with beta in Z_p (beta = 0 in place of infinity), and checks it
+  once by rebuilding the matrix; the flipped triple is never tried.
 """
 
 from __future__ import annotations
@@ -212,19 +213,21 @@ def _block_mat(rows, den) -> Mat:
     return Mat(rows) if den is None else Mat.from_numerators(rows, den)
 
 
-def cardano_matrix(ctx: PrimeCtx, angles) -> Rot3:
-    """R_z(alpha) R_y(beta) R_x(gamma) as a certified rotation.
-
-    Rational and infinite parameters multiply as integer blocks over one
-    denominator; a capped-precision parameter sends the product through
-    Mat's entry path.
-    """
+def _cardano_product(ctx: PrimeCtx, angles) -> Mat:
+    # Rational and infinite parameters multiply as integer blocks over one
+    # denominator; a capped-precision parameter sends the product through
+    # Mat's entry path.
     blocks = [_axis_block(ctx, axis, t) for axis, t in zip(ctx.AXES, angles)]
     if any(den is None for _, den in blocks):
         z, y, x = (_block_mat(*block) for block in blocks)
-        return Rot3(ctx, z * y * x)
+        return z * y * x
     (z, dz), (y, dy), (x, dx) = blocks
-    return Rot3(ctx, Mat.from_numerators(int_matmul(int_matmul(z, y), x), dz * dy * dx))
+    return Mat.from_numerators(int_matmul(int_matmul(z, y), x), dz * dy * dx)
+
+
+def cardano_matrix(ctx: PrimeCtx, angles) -> Rot3:
+    """R_z(alpha) R_y(beta) R_x(gamma) as a certified rotation."""
+    return Rot3(ctx, _cardano_product(ctx, angles))
 
 
 def axis_rotation(ctx: PrimeCtx, axis: str, param) -> Rot3:
@@ -357,48 +360,53 @@ def _canonical_cos(ctx: PrimeCtx, radicand, precision: int):
     return hensel_sqrt(radicand, ctx, precision)
 
 
-def _pair_param(ctx: PrimeCtx, d, c, s, exact: bool):
+_NO_DIGITS_FOR_INF = "the digit budget cannot tell a parameter from infinity"
+
+
+def _pair_param(c, s, exact: bool):
+    # s / (1 + c) for the SO(2) block with first column (c, s), INF for -I.
     # A capped 1 + c that reads zero cannot be told from INF at this digit
     # budget.  For an exact matrix c is capped only on the Hensel path,
     # where it is irrational, so the parameter is never truly INF there.
-    # A capped matrix may really carry INF, which so2_param returns.
-    if exact and isinstance(c, PadicApprox) and (1 + c).is_zero:
-        raise PrecisionExhausted("the digit budget cannot tell a parameter from infinity")
-    block = Mat(((c, -Fraction(d) * s), (s, c)))
-    return so2_param(block, ctx, d)
+    # A capped matrix may really carry INF, which is returned.
+    den = 1 + c
+    if _is_zero(den):
+        if exact and isinstance(c, PadicApprox):
+            raise PrecisionExhausted(_NO_DIGITS_FOR_INF)
+        return INF
+    return s / den
 
 
 def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     """Cardano triple of a rotation, canonical branch.
 
-    The sine of beta is the (3,1) entry; its cosine is a square root of
-    1 - p*R31^2, a unit that is 1 mod p, so both roots exist and each
-    yields a consistent triple (the two are the flip of one another).
-    The root that is itself 1 mod p is taken, making the returned beta a
-    p-adic integer.  Rationally constructed rotations resolve exactly;
-    otherwise the cosine comes from a Hensel lift at `precision` digits.
+    The sine of beta is the (3,1) entry; its cosine c_b is the square root
+    of 1 - p*R31^2 that is 1 mod p, which makes beta = R31 / (1 + c_b) a
+    p-adic integer.  The first column of R is (c_a c_b, s_a c_b, R31) and
+    its last row is (R31, c_b s_g, c_b c_g), which give alpha and gamma.
+    The other root of 1 - p*R31^2 only names the flipped triple, with
+    beta outside Z_p, so it is never tried.  Rationally constructed
+    rotations resolve exactly; otherwise c_b comes from a Hensel lift at
+    `precision` digits.
+
+    The triple is checked once, by rebuilding its matrix and comparing
+    it with R (digitwise at capped precision).  On a capped matrix whose
+    alpha or gamma read as INF from a capped zero, a failed rebuild means
+    the digits cannot tell that parameter from infinity: PrecisionExhausted.
+    Any other failed rebuild raises AmbiguityError.
     """
     ctx = r.ctx
     m = r.mat.rows
     s_b = m[2][0]
-    radicand = 1 - ctx.p * s_b * s_b
-    c_b = _canonical_cos(ctx, radicand, precision)
+    c_b = _canonical_cos(ctx, 1 - ctx.p * s_b * s_b, precision)
     exact = r.mat.integer_form() is not None
-    for cand in (c_b, -c_b):
-        try:
-            angles = _extract_triple(ctx, m, s_b, cand, exact)
-        except CertificateError:
-            continue
-        if cardano_matrix(ctx, angles).mat.agrees(r.mat):
-            return angles
-    raise AmbiguityError("no consistent sign branch in Cardano extraction")
-
-
-def _extract_triple(ctx: PrimeCtx, m, s_b, c_b, exact: bool) -> Angles:
-    if values_agree(c_b, Fraction(-1)):
-        beta = INF
-    else:
-        beta = s_b / (1 + c_b)
-    alpha = _pair_param(ctx, ctx.d_z, m[0][0] / c_b, m[1][0] / c_b, exact)
-    gamma = _pair_param(ctx, ctx.d_x, m[2][2] / c_b, m[2][1] / c_b, exact)
-    return Angles(alpha, beta, gamma)
+    angles = Angles(
+        _pair_param(m[0][0] / c_b, m[1][0] / c_b, exact),
+        s_b / (1 + c_b),
+        _pair_param(m[2][2] / c_b, m[2][1] / c_b, exact),
+    )
+    if _cardano_product(ctx, angles).agrees(r.mat):
+        return angles
+    if not exact and (angles.alpha is INF or angles.gamma is INF):
+        raise PrecisionExhausted(_NO_DIGITS_FOR_INF)
+    raise AmbiguityError("the canonical Cardano triple does not rebuild the matrix")

@@ -362,6 +362,24 @@ class TestDigitBudget:
             assert code == expected
         assert out.strip().endswith(",7^-5 * [2]")
 
+    @pytest.mark.parametrize(
+        "angles, precision",
+        [
+            ("3^0 * [2,1],3^-1 * [2,0,0],3^0 * [1,2,0,0]", ()),
+            ("3^-2 * [2,1,2,2],3^1 * [1,1,1,2,1,0,0],3^2 * [2,2,2,0,2,2]", ("--precision", "8")),
+        ],
+        ids=["default-precision", "precision-8"],
+    )
+    def test_capped_parameter_deep_in_a_shell_exits_3(self, capsys, monkeypatch, angles, precision):
+        # The canonical triple reads alpha or gamma as inf from a capped
+        # zero; the flipped triple, beta outside Z_p, agrees with the few
+        # known digits but is not an answer.
+        code, text, _ = run(capsys, "rotate", "--prime", "3", angles)
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "decompose", "--prime", "3", *precision, "-")
+        assert (code, out) == (3, "")
+        assert "precision exhausted" in err and "digit budget" in err
 
     @pytest.mark.parametrize("angles", ["inf,3^0 * [1],0", "0,3^0 * [1],inf"])
     def test_capped_matrix_with_infinite_parameter(self, capsys, monkeypatch, angles):

@@ -118,6 +118,21 @@ def flip(ctx, angles):
     )
 
 
+@pytest.fixture(autouse=True)
+def decompositions_rebuild_certified(monkeypatch):
+    """decompose_cardano checks its triple against an uncertified product.
+    Every triple it returns in this module is rebuilt here through
+    cardano_matrix, so the certificate runs, and must agree with the input."""
+    real = decompose_cardano
+
+    def checked(r, precision=32):
+        angles = real(r, precision)
+        assert cardano_matrix(r.ctx, angles).mat.agrees(r.mat)
+        return angles
+
+    monkeypatch.setitem(globals(), "decompose_cardano", checked)
+
+
 class TestSo2:
     def test_zero_is_identity(self, ctx):
         for d in ctx.so2_catalog().values():
@@ -620,6 +635,42 @@ class TestPrecisionBudget:
         assert (t.gamma.val, t.gamma.digits()) == (-5, (2,))
         assert valuation(t.beta, 7) >= 0
         assert cardano_matrix(ctx, t).mat.agrees(r.mat)
+
+
+def capped_param(x, p, digits):
+    return x if isinstance(x, Infinity) or x == 0 else PadicApprox.from_rational(x, p, digits)
+
+
+class TestCappedInputs:
+    """A capped matrix answers with the canonical triple, which rebuilds it,
+    or with PrecisionExhausted.  The flipped triple, beta outside Z_p, can
+    agree with the few known digits when alpha or gamma lies deep in a
+    shell; it is never an answer."""
+
+    def capped_inputs(self, ctx, rng):
+        for digits in (6, 12):
+            for _ in range(40):
+                r = quat_to_rotation(rand_quat(rng, ctx))
+                yield capped_copy(r, digits)
+                t = rand_triple(rng, ctx, inf_rate=0.1)
+                yield cardano_matrix(ctx, Angles(*(capped_param(x, ctx.p, digits) for x in t)))
+                try:
+                    yield cardano_matrix(ctx, decompose_cardano(r, precision=digits))
+                except PrecisionExhausted:
+                    pass
+
+    def test_canonical_triple_or_precision_exhausted(self, ctx):
+        rng = random.Random(709 + ctx.p)
+        answered = 0
+        for r in self.capped_inputs(ctx, rng):
+            try:
+                t = decompose_cardano(r)
+            except PrecisionExhausted:
+                continue
+            assert valuation(t.beta, ctx.p) >= 0
+            assert cardano_matrix(ctx, t).mat.agrees(r.mat)
+            answered += 1
+        assert answered > 0
 
 
 # The paper's axis data, written out independently of PrimeCtx.AXES and of
