@@ -4,19 +4,24 @@ Subcommands: classify (square class of a number), rotate (angles or a
 quaternion to a certified rotation matrix), compose (product of two
 matrices with recertification), decompose (matrix back to nautical
 angles), haar mass / integrate / sample, and verify (the identity
-suites).
+suites).  Each takes `--prime` and `--format text|json`, and of the other
+settings only those it reads:
 
+    --precision   decompose, haar sample   digit budget, at least 4 (default 32)
+    --seed        haar sample, verify      64-bit seed (default 0)
+    --threads     haar sample              at least 1; no effect (one thread)
+
+Literals that start with '-' (`-1/3`, `-19/243,0,-225/58`) are positionals.
 Output goes to stdout; diagnostics go to stderr.  `--format json` wraps
 every result in a schema-versioned object whose numbers are strings, so
-consumers never round an exact rational through a float.  Exit codes:
-0 success, 1 verification failure, 2 parse failure or bad prime,
-3 certificate failure or exhausted digit budget (including a capped matrix
-whose digits cannot tell alpha or gamma from infinity), 4 ambiguity (the
-canonical Cardano triple does not rebuild the matrix), 5 malformed region.
-
-Identical configuration and seed produce identical output bytes.
-`--threads` is accepted (at least 1) and has no effect: sampling runs its
-seeded chunks in order in one thread.
+consumers never round an exact rational through a float.  Identical
+configuration and seed produce identical output bytes.  Exit codes:
+0 success, 1 verification failure, 2 parse failure, bad prime, or an
+option the command does not take, 3 certificate failure or exhausted
+digit budget (including a capped matrix whose digits cannot tell alpha
+or gamma from infinity), 4 ambiguity (the canonical Cardano triple does
+not rebuild the matrix), 5 malformed region, 141 stdout closed early
+(as by `| head`), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
+import re
 import sys
-from fractions import Fraction
 
 from . import haar, verify
 from .errors import AmbiguityError, CertificateError, PrecisionExhausted, RegionError
@@ -66,11 +73,12 @@ def _ctx(args) -> PrimeCtx:
 
 
 def _settings(args) -> None:
-    if args.precision < 4:
+    # an option the command does not take is absent from args
+    if getattr(args, "precision", 4) < 4:
         raise ValueError(f"precision must be at least 4, got {args.precision}")
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise ValueError("threads must be at least 1")
 
 
@@ -81,8 +89,7 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _cmd_classify(args) -> int:
-    ctx = _ctx(args)
+def _cmd_classify(ctx: PrimeCtx, args) -> int:
     x = parse_number(args.value, ctx.p)
     if x is INF:
         raise ValueError("inf has no square class")
@@ -91,8 +98,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_rotate(args) -> int:
-    ctx = _ctx(args)
+def _cmd_rotate(ctx: PrimeCtx, args) -> int:
     if (args.angles is None) == (args.quat is None):
         raise ValueError("rotate takes exactly one of an angle triple or --quat")
     if args.quat is not None:
@@ -103,8 +109,7 @@ def _cmd_rotate(args) -> int:
     return 0
 
 
-def _cmd_compose(args) -> int:
-    ctx = _ctx(args)
+def _cmd_compose(ctx: PrimeCtx, args) -> int:
     texts = args.matrices
     if not texts:
         try:
@@ -123,8 +128,7 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    ctx = _ctx(args)
+def _cmd_decompose(ctx: PrimeCtx, args) -> int:
     text = args.matrix
     if text is None or text == "-":
         text = sys.stdin.read()
@@ -134,45 +138,43 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _group_param(ctx: PrimeCtx, tag: str) -> Fraction:
-    if tag.startswith("so2:"):
-        catalog = ctx.so2_catalog()
-        key = tag[4:]
-        if key in catalog:
-            return catalog[key]
+def _group_ds(ctx: PrimeCtx, tag: str) -> tuple:
+    """The d of each parameter line of a group: the three axes in Cardano
+    order for so3, the one catalog d for so2:<key>."""
+    if tag == "so3":
+        return tuple(ctx.axis_d(axis) for axis in ctx.AXES)
+    catalog = ctx.so2_catalog()
+    if tag.startswith("so2:") and tag[4:] in catalog:
+        return (catalog[tag[4:]],)
     raise ValueError(f"unknown group tag: {tag!r}")
 
 
-def _cmd_haar_mass(args) -> int:
-    ctx = _ctx(args)
-    if args.group == "so3":
-        mass = haar.total_mass(ctx, "so3")
-    else:
-        d = _group_param(ctx, args.group)
-        mass = haar.integrate_so2(ctx, d, haar.RegionQp.full(ctx.p))
+def _mass(ctx: PrimeCtx, ds: tuple, regions=None):
+    """Product over the lines of the mass of each region, full lines by default."""
+    if regions is None:
+        regions = [haar.RegionQp.full(ctx.p)] * len(ds)
+    return math.prod(haar.integrate_so2(ctx, d, r) for d, r in zip(ds, regions))
+
+
+def _cmd_haar_mass(ctx: PrimeCtx, args) -> int:
+    mass = _mass(ctx, _group_ds(ctx, args.group))
     _emit(args, format_rational(mass), {"mass": format_rational(mass)})
     return 0
 
 
-def _cmd_haar_integrate(args) -> int:
-    ctx = _ctx(args)
-    if args.group == "so3":
-        parts = args.region.split(";")
-        if len(parts) != 3:
-            raise RegionError("so3 integration takes three regions 'z;y;x'")
-        box = [parse_region(t, ctx.p) for t in parts]
-        mass = haar.integrate_so3(ctx, box, normalized=args.normalized)
-    else:
-        d = _group_param(ctx, args.group)
-        mass = haar.integrate_so2(ctx, d, parse_region(args.region, ctx.p))
-        if args.normalized:
-            mass /= haar.integrate_so2(ctx, d, haar.RegionQp.full(ctx.p))
+def _cmd_haar_integrate(ctx: PrimeCtx, args) -> int:
+    ds = _group_ds(ctx, args.group)
+    texts = args.region.split(";") if args.group == "so3" else [args.region]
+    if len(texts) != len(ds):
+        raise RegionError("so3 integration takes three regions 'z;y;x'")
+    mass = _mass(ctx, ds, [parse_region(t, ctx.p) for t in texts])
+    if args.normalized:
+        mass /= _mass(ctx, ds)
     _emit(args, format_rational(mass), {"mass": format_rational(mass)})
     return 0
 
 
-def _cmd_haar_sample(args) -> int:
-    ctx = _ctx(args)
+def _cmd_haar_sample(ctx: PrimeCtx, args) -> int:
     if args.count < 0:
         raise ValueError("count must be nonnegative")
     draws = haar.sample_so3_batch(
@@ -198,8 +200,7 @@ def _cmd_haar_sample(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    ctx = _ctx(args)
+def _cmd_verify(ctx: PrimeCtx, args) -> int:
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(ctx, names, samples=args.samples, seed=args.seed)
     lines = [
@@ -212,91 +213,84 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a literal such as -1/3 or -19/243,0,-225/58 as a positional,
+    as argparse alone does only for -3 or -.5.  No option here starts with
+    '-' and a digit, so none is shadowed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+_OPTIONS = {
+    "--precision": dict(type=int, default=32, help="working p-adic digits (at least 4)"),
+    "--seed": dict(type=int, default=0, help="64-bit seed"),
+    "--threads": dict(type=int, default=1, help="accepted for compatibility; has no effect"),
+}
+
+
+def _leaf(sub, name: str, func, summary: str, *options: str) -> argparse.ArgumentParser:
+    """A command with --prime, --format and the named settings it reads."""
+    leaf = sub.add_parser(name, help=summary)
+    leaf.add_argument("--prime", type=int, required=True, help="the odd prime p")
+    leaf.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    for option in options:
+        leaf.add_argument(option, **_OPTIONS[option])
+    leaf.set_defaults(func=func)
+    return leaf
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, required=True, help="the odd prime p")
-    common.add_argument(
-        "--precision", type=int, default=32, help="working p-adic digits (at least 4)"
-    )
-    common.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="so3p",
         description="Exact arithmetic on the p-adic rotation group SO(3)_p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cl = sub.add_parser("classify", parents=[common], help="square class of a number")
+    cl = _leaf(sub, "classify", _cmd_classify, "square class of a number")
     cl.add_argument("value", help="number literal: a/b, inf, or p^v * [d0,d1,...]")
-    cl.set_defaults(func=_cmd_classify)
 
-    ro = sub.add_parser("rotate", parents=[common], help="build a rotation matrix")
+    ro = _leaf(sub, "rotate", _cmd_rotate, "build a rotation matrix")
     ro.add_argument("angles", nargs="?", help="angle triple a,b,c (inf allowed)")
     ro.add_argument("--quat", help="quaternion literal 'q0 + q1 i + q2 j + q3 k'")
-    ro.set_defaults(func=_cmd_rotate)
 
-    co = sub.add_parser(
-        "compose", parents=[common], help="multiply two rotations, recertified"
-    )
+    co = _leaf(sub, "compose", _cmd_compose, "multiply two rotations, recertified")
     co.add_argument(
         "matrices", nargs="*", help="two matrix JSON literals; omit for stdin [m1, m2]"
     )
-    co.set_defaults(func=_cmd_compose)
 
-    de = sub.add_parser(
-        "decompose", parents=[common], help="matrix to nautical angles"
-    )
+    de = _leaf(sub, "decompose", _cmd_decompose, "matrix to nautical angles", "--precision")
     de.add_argument("matrix", nargs="?", help="matrix JSON; omit or '-' for stdin")
-    de.set_defaults(func=_cmd_decompose)
 
     ha = sub.add_parser("haar", help="masses, exact integrals, random samples")
     hsub = ha.add_subparsers(dest="haar_command", required=True)
 
-    hm = hsub.add_parser("mass", parents=[common], help="total mass of a group")
-    hm.add_argument(
-        "--group",
-        required=True,
-        help="so3, so2:-v, so2:p, so2:up, or so2:-p/v",
-    )
-    hm.set_defaults(func=_cmd_haar_mass)
+    hm = _leaf(hsub, "mass", _cmd_haar_mass, "total mass of a group")
+    hm.add_argument("--group", required=True, help="so3, so2:-v, so2:p, so2:up, or so2:-p/v")
 
-    hi = hsub.add_parser("integrate", parents=[common], help="exact mass of a region")
+    hi = _leaf(hsub, "integrate", _cmd_haar_integrate, "exact mass of a region")
     hi.add_argument("--group", required=True, help="so3 or an so2:* tag")
     hi.add_argument(
         "--region",
         required=True,
         help="union literal zp | ball:c,k | shell:k | tail:K; ';'-separated triple for so3",
     )
-    hi.add_argument(
-        "--normalized", action="store_true", help="divide by the total mass"
-    )
-    hi.set_defaults(func=_cmd_haar_integrate)
+    hi.add_argument("--normalized", action="store_true", help="divide by the total mass")
 
-    hs = hsub.add_parser("sample", parents=[common], help="Haar-random rotations")
+    hs = _leaf(hsub, "sample", _cmd_haar_sample, "Haar-random rotations",
+               "--precision", "--seed", "--threads")
     hs.add_argument("--count", type=int, default=1, help="number of draws")
-    hs.add_argument(
-        "--matrices", action="store_true", help="also print each rotation matrix"
-    )
-    hs.set_defaults(func=_cmd_haar_sample)
+    hs.add_argument("--matrices", action="store_true", help="also print each rotation matrix")
 
-    ve = sub.add_parser("verify", parents=[common], help="run the identity suites")
+    ve = _leaf(sub, "verify", _cmd_verify, "run the identity suites", "--seed")
     ve.add_argument(
-        "--suite",
-        choices=(*verify.SUITE_NAMES, "all"),
-        default="all",
-        help="which suite to run",
+        "--suite", choices=(*verify.SUITE_NAMES, "all"), default="all", help="which suite to run"
     )
     ve.add_argument(
         "--samples", type=int, default=None, help="draws per identity (default varies)"
     )
-    ve.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -306,7 +300,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _settings(args)
-        return args.func(args)
+        code = args.func(_ctx(args), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit as a shell reports SIGPIPE;
+        # devnull takes what is left, so the flush at exit raises nothing
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except CertificateError as exc:
         print(f"so3p: certificate failure: {exc}", file=sys.stderr)
         return 3
@@ -316,7 +318,7 @@ def main(argv=None) -> int:
     except RegionError as exc:
         print(f"so3p: region: {exc}", file=sys.stderr)
         return 5
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         print(f"so3p: {exc}", file=sys.stderr)
         return 2
     except PrecisionExhausted as exc:
@@ -325,9 +327,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"so3p: certificate failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"so3p: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

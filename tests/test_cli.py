@@ -1,19 +1,27 @@
 """Command-line behavior: literals in, exact text or JSON out, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
+import os
+import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from so3p import cli
 from so3p.errors import AmbiguityError, PrecisionExhausted
-from so3p.formats import format_matrix_json, parse_angles, parse_matrix_json, parse_quat
+from so3p.formats import (
+    format_matrix_json, format_rational, parse_angles, parse_matrix_json, parse_quat, parse_region,
+)
+from so3p.haar import integrate_so3
 from so3p.padic import canonical_units
-from so3p.rotation import quat_to_rotation
+from so3p.rotation import cardano_matrix, quat_to_rotation
 from so3p.verify import CheckResult
 
 
@@ -201,6 +209,29 @@ class TestHaar:
         )
         assert code == 0
         assert out == "3/16\n"
+
+    def test_integrate_so3_box_goes_to_z_y_x(self, capsys):
+        # the axes carry different d, so a reversed box has another mass
+        ctx = canonical_units(3)
+        box = [parse_region(t, 3) for t in ("zp", "tail:2", "shell:1")]
+        assert integrate_so3(ctx, box) != integrate_so3(ctx, box[::-1])
+        for normalized in (False, True):
+            code, out, _ = run(
+                capsys, "haar", "integrate", "--group", "so3", "--region", "zp;tail:2;shell:1",
+                "--prime", "3", *(["--normalized"] if normalized else []),
+            )
+            assert (code, out) == (0, format_rational(integrate_so3(ctx, box, normalized=normalized)) + "\n")
+
+    @pytest.mark.parametrize(
+        "group, message",
+        [("so3", "three regions 'z;y;x'"), ("so2:p", "unknown region piece: 'zp;zp'")],
+    )
+    def test_semicolons_split_only_for_so3(self, capsys, group, message):
+        code, out, err = run(
+            capsys, "haar", "integrate", "--group", group, "--region", "zp;zp", "--prime", "3"
+        )
+        assert (code, out) == (5, "")
+        assert message in err
 
     def test_integrate_union_region(self, capsys):
         code, out, _ = run(
@@ -450,6 +481,180 @@ class TestBoundaryInput:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, angles, _ = run(capsys, "decompose", "--prime", "7", "-")
         assert (code, angles) == (0, "0 + O(7^3),1,1\n")
+
+
+COMMON = {"--prime", "--format"}
+OPTION_SETS = {
+    "classify": COMMON | {"value"},
+    "rotate": COMMON | {"angles", "--quat"},
+    "compose": COMMON | {"matrices"},
+    "decompose": COMMON | {"matrix", "--precision"},
+    "haar mass": COMMON | {"--group"},
+    "haar integrate": COMMON | {"--group", "--region", "--normalized"},
+    "haar sample": COMMON | {"--precision", "--seed", "--threads", "--count", "--matrices"},
+    "verify": COMMON | {"--seed", "--suite", "--samples"},
+}
+
+
+def leaf_options(parser, path=()):
+    """{command path: the options and positionals a user can set} for every leaf."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        return {
+            key: opts
+            for name, child in subs[0].choices.items()
+            for key, opts in leaf_options(child, (*path, name)).items()
+        }
+    return {
+        " ".join(path): {
+            a.option_strings[-1] if a.option_strings else a.dest
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+    }
+
+
+class TestOptionSets:
+    """Each command takes only the settings it reads."""
+
+    def test_leaf_option_sets(self):
+        leaves = leaf_options(cli._build_parser())
+        assert leaves == OPTION_SETS
+        assert sum(len(opts) for opts in leaves.values()) == 34
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rotate", "--prime", "3", "--seed", "1", "1,1,1"),
+            ("classify", "--prime", "3", "--threads", "2", "2"),
+            ("verify", "--prime", "3", "--precision", "8", "--suite", "iso"),
+            ("haar", "mass", "--prime", "3", "--group", "so3", "--seed", "1"),
+            ("decompose", "--prime", "5", "--threads", "1", "-"),
+        ],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_settings_checked_where_taken(self, capsys):
+        code, _, err = run(capsys, "decompose", "--prime", "5", "--precision", "3", "[[1]]")
+        assert code == 2
+        assert "precision must be at least 4" in err
+        code, _, err = run(capsys, "verify", "--prime", "3", "--suite", "iso", "--seed", "-1")
+        assert code == 2
+        assert "64 bits" in err
+
+
+class TestNegativeLiterals:
+    """Literals that start with '-' are positionals, without a '--'."""
+
+    ANGLES = "-19/243,0,-225/58"
+
+    def test_rotate(self, capsys):
+        expected = format_matrix_json(cardano_matrix(canonical_units(3), parse_angles(self.ANGLES, 3)).mat)
+        code, out, err = run(capsys, "rotate", "--prime", "3", self.ANGLES)
+        assert (code, out, err) == (0, expected + "\n", "")
+        assert run(capsys, "rotate", "--prime", "3", "--", self.ANGLES) == (0, out, "")
+
+    @pytest.mark.parametrize("value, name", [("-1/3", "UP"), ("-3", "UP"), ("-1", "U"), ("-4/25", "U")])
+    def test_classify(self, capsys, value, name):
+        assert run(capsys, "classify", "--prime", "3", value) == (0, name + "\n", "")
+        assert run(capsys, "classify", "--prime", "3", "--", value) == (0, name + "\n", "")
+
+    def test_decompose_output_feeds_rotate_as_printed(self, capsys, monkeypatch):
+        code, text, _ = run(capsys, "rotate", "--prime", "3", self.ANGLES)
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, angles, _ = run(capsys, "decompose", "--prime", "3", "-")
+        assert (code, angles) == (0, self.ANGLES + "\n")
+        assert run(capsys, "rotate", "--prime", "3", angles.strip()) == (0, text, "")
+
+    def test_other_dash_arguments_keep_their_meaning(self, capsys):
+        ctx = canonical_units(3)
+        expected = format_matrix_json(quat_to_rotation(parse_quat("-1 + i", ctx)).mat)
+        assert run(capsys, "rotate", "--prime", "3", "--quat", "-1 + i") == (0, expected + "\n", "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rotate", "--prime", "3", "--bogus", "1,1,1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets no traceback and exit 141."""
+
+    def spawn(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "so3p.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    def test_closed_before_the_first_write(self):
+        proc = self.spawn("verify", "--prime", "5", "--suite", "measure", "--samples", "10")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_closed_after_the_first_line(self):
+        # about 550 kB, far past a pipe buffer, so later writes find no reader
+        proc = self.spawn("haar", "sample", "--prime", "5", "--count", "300", "--seed", "1", "--matrices")
+        assert proc.stdout.readline().count(b",") == 2
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(command line, expected stdout lines, truncated) for each `$ so3p` line."""
+    examples, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("    $ so3p "):
+            current = [line[6:], [], False]
+            examples.append(current)
+        elif current and line.startswith("    ") and not current[2]:
+            if line.strip() == "...":
+                current[2] = True
+            else:
+                current[1].append(line[4:])
+        else:
+            current = None
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        commands = [cmd for cmd, _, _ in readme_examples()]
+        assert len(commands) == 9
+        assert any("|" in cmd for cmd in commands)
+
+    @pytest.mark.parametrize(
+        "command, lines, truncated", readme_examples(), ids=[cmd for cmd, _, _ in readme_examples()]
+    )
+    def test_example(self, capsys, monkeypatch, command, lines, truncated):
+        # each stage of a pipe reads the stdout of the one before
+        out, stages = "", [[]]
+        for token in shlex.split(command, comments=True):
+            if token == "|":
+                stages.append([])
+            else:
+                stages[-1].append(token)
+        for program, *argv in stages:
+            assert program == "so3p"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+        expected = "".join(line + "\n" for line in lines)
+        if truncated:
+            assert out.startswith(expected)
+        else:
+            assert out == expected
 
 
 class TestPinnedSampleStream:
