@@ -138,38 +138,21 @@ def _cmd_decompose(ctx: PrimeCtx, args) -> int:
     return 0
 
 
-def _group_ds(ctx: PrimeCtx, tag: str) -> tuple:
-    """The d of each parameter line of a group: the three axes in Cardano
-    order for so3, the one catalog d for so2:<key>."""
-    if tag == "so3":
-        return tuple(ctx.axis_d(axis) for axis in ctx.AXES)
-    catalog = ctx.so2_catalog()
-    if tag.startswith("so2:") and tag[4:] in catalog:
-        return (catalog[tag[4:]],)
-    raise ValueError(f"unknown group tag: {tag!r}")
-
-
-def _mass(ctx: PrimeCtx, ds: tuple, regions=None):
-    """Product over the lines of the mass of each region, full lines by default."""
-    if regions is None:
-        regions = [haar.RegionQp.full(ctx.p)] * len(ds)
-    return math.prod(haar.integrate_so2(ctx, d, r) for d, r in zip(ds, regions))
-
-
 def _cmd_haar_mass(ctx: PrimeCtx, args) -> int:
-    mass = _mass(ctx, _group_ds(ctx, args.group))
+    mass = haar.total_mass(ctx, args.group)
     _emit(args, format_rational(mass), {"mass": format_rational(mass)})
     return 0
 
 
 def _cmd_haar_integrate(ctx: PrimeCtx, args) -> int:
-    ds = _group_ds(ctx, args.group)
+    ds = haar._group_ds(ctx, args.group)
     texts = args.region.split(";") if args.group == "so3" else [args.region]
     if len(texts) != len(ds):
         raise RegionError("so3 integration takes three regions 'z;y;x'")
-    mass = _mass(ctx, ds, [parse_region(t, ctx.p) for t in texts])
+    regions = [parse_region(t, ctx.p) for t in texts]
+    mass = math.prod(haar.integrate_so2(ctx, d, r) for d, r in zip(ds, regions))
     if args.normalized:
-        mass /= _mass(ctx, ds)
+        mass /= haar.total_mass(ctx, args.group)
     _emit(args, format_rational(mass), {"mass": format_rational(mass)})
     return 0
 
@@ -289,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", choices=(*verify.SUITE_NAMES, "all"), default="all", help="which suite to run"
     )
     ve.add_argument(
-        "--samples", type=int, default=None, help="draws per identity (default varies)"
+        "--samples", type=int, default=None, help="draws per identity, at least 1 (default varies)"
     )
 
     return parser

@@ -303,15 +303,25 @@ def integrate_so2(ctx: PrimeCtx, d, region: RegionQp) -> Fraction:
     return total
 
 
+def _group_ds(ctx: PrimeCtx, tag: str) -> tuple:
+    """The d of each parameter line of a group tag: the three axes in
+    Cardano order for so3, the one catalog d for so2:<key>."""
+    if tag == "so3":
+        return tuple(ctx.axis_d(axis) for axis in ctx.AXES)
+    catalog = ctx.so2_catalog()
+    if tag.startswith("so2:") and tag[4:] in catalog:
+        return (catalog[tag[4:]],)
+    raise ValueError(f"unknown group tag: {tag!r}")
+
+
 def total_mass(ctx: PrimeCtx, tag: str) -> Fraction:
-    """Full-group mass: (p+1)/p, 2, 2 for the axis SO(2)s, 4(p+1)/p for SO(3).
+    """Full-group mass: (p+1)/p for so2:-v, 2 for so2:p, so2:up and
+    so2:-p/v, 4(p+1)/p for so3.
 
     Computed by the integrator over the full parameter line, not tabulated.
     """
-    axes = [axis for axis, key in ctx.AXES.items() if tag in ("so3", f"so2:{key}")]
-    if not axes:
-        raise ValueError(f"unknown group tag: {tag!r}")
-    return math.prod(integrate_so2(ctx, ctx.axis_d(axis), RegionQp.full(ctx.p)) for axis in axes)
+    full = RegionQp.full(ctx.p)
+    return math.prod(integrate_so2(ctx, d, full) for d in _group_ds(ctx, tag))
 
 
 def integrate_so3(ctx: PrimeCtx, box, normalized: bool = False) -> Fraction:
@@ -456,6 +466,36 @@ def _digits(rng: random.Random, p: int, count: int) -> int:
     return acc
 
 
+def _catalog_valuation(ctx: PrimeCtx, d) -> int:
+    """v_p(d) for a catalog d; ValueError for any other d.
+
+    A catalog d has valuation 0 or 1 and a denominator prime to p, so it
+    is 1 exactly when p divides the numerator.
+    """
+    return 0 if so2_form(ctx, d).diag[1].numerator % ctx.p else 1
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
+
+
+def _draw_so2(rng: random.Random, p: int, e: int, digits: int) -> Fraction:
+    """sample_so2_param for a d already checked, of valuation e."""
+    # P(Z_p) is p/(p+1) when e = 0 and 1/2 when e = 1.
+    if e:
+        in_zp = _randbelow(rng, 2) == 0
+    else:
+        in_zp = _randbelow(rng, p + 1) != 0
+    if in_zp:
+        return Fraction(_digits(rng, p, digits))
+    k = 1
+    while _randbelow(rng, p) == 0:
+        k += 1
+    lead = 1 + _randbelow(rng, p - 1)
+    return Fraction(lead + p * _digits(rng, p, digits - 1), p**k)
+
+
 def sample_so2_param(ctx: PrimeCtx, d, rng: random.Random, digits: int = 32) -> Fraction:
     """One draw from the normalized Haar measure of SO(2)_{p,d}.
 
@@ -466,30 +506,25 @@ def sample_so2_param(ctx: PrimeCtx, d, rng: random.Random, digits: int = 32) -> 
     `random.Random`: its `getrandbits` is drawn from exactly as
     `randrange` would draw, so the stream for a seed is that of randrange.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be at least 1, got {digits}")
-    d = so2_form(ctx, d).diag[1]
+    _check_digits(digits)
+    return _draw_so2(rng, ctx.p, _catalog_valuation(ctx, d), digits)
+
+
+def _draw_so3(ctx: PrimeCtx, rng: random.Random, digits: int, es: tuple) -> tuple:
+    """sample_so3 with the valuation e of each axis d given, in Cardano order."""
     p = ctx.p
-    # P(Z_p) is p/(p+1) when e = 0 and 1/2 when e = 1.  A catalog d has
-    # valuation 0 or 1 and a denominator prime to p, so e = 1 exactly when
-    # p divides its numerator.
-    if d.numerator % p:
-        in_zp = _randbelow(rng, p + 1) != 0
-    else:
-        in_zp = _randbelow(rng, 2) == 0
-    if in_zp:
-        return Fraction(_digits(rng, p, digits))
-    k = 1
-    while _randbelow(rng, p) == 0:
-        k += 1
-    lead = 1 + _randbelow(rng, p - 1)
-    return Fraction(lead + p * _digits(rng, p, digits - 1), p**k)
+    angles = Angles(*(_draw_so2(rng, p, e, digits) for e in es))
+    return angles, cardano_matrix(ctx, angles)
+
+
+def _axis_valuations(ctx: PrimeCtx) -> tuple:
+    return tuple(_catalog_valuation(ctx, ctx.axis_d(axis)) for axis in ctx.AXES)
 
 
 def sample_so3(ctx: PrimeCtx, rng: random.Random, digits: int = 32) -> tuple:
     """A Haar-random rotation: three independent axis draws, certified."""
-    angles = Angles(*(sample_so2_param(ctx, ctx.axis_d(axis), rng, digits) for axis in ctx.AXES))
-    return angles, cardano_matrix(ctx, angles)
+    _check_digits(digits)
+    return _draw_so3(ctx, rng, digits, _axis_valuations(ctx))
 
 
 _BATCH_CHUNK = 64
@@ -513,13 +548,13 @@ def sample_so3_batch(ctx: PrimeCtx, seed, count: int, digits: int = 32, threads:
         raise ValueError(f"count must be nonnegative, got {count}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if digits < 1:
-        raise ValueError(f"digits must be at least 1, got {digits}")
+    _check_digits(digits)
+    es = _axis_valuations(ctx)
     draws = []
     for idx in range((count + _BATCH_CHUNK - 1) // _BATCH_CHUNK):
         rng = _stream_rng(seed, idx)
         take = min(_BATCH_CHUNK, count - idx * _BATCH_CHUNK)
-        draws.extend(sample_so3(ctx, rng, digits) for _ in range(take))
+        draws.extend(_draw_so3(ctx, rng, digits, es) for _ in range(take))
     return draws
 
 

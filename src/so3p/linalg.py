@@ -8,6 +8,8 @@ exact and cheap at these sizes.
 When every entry is a `Fraction`, products and the isometry certificate
 clear the matrix to integer numerators over one common denominator and
 work on plain integers; other entry types take the entry-generic path.
+At n = 3 the integer certificate is unrolled like the determinant: six
+column products against the form and det N = D^3, with no loop.
 """
 
 from __future__ import annotations
@@ -315,6 +317,31 @@ def is_special_isometry(m: Mat, form: QuadForm) -> bool:
 def _int_special_isometry(num, den: int, g) -> bool:
     # With M = N / D and G = g / e for integer N, g: M^T G M = G and
     # det M = 1 are the integer identities N^T g N = D^2 g and det N = D^n.
+    if len(num) != 3:
+        return _int_isometry_loop(num, den, g)
+    # The loop below for n = 3, unrolled: with rows r, s, t of N, entry
+    # (i, j) of N^T g N is g0 r_i r_j + g1 s_i s_j + g2 t_i t_j.  The rows
+    # are weighted by g once, then the six entries of the upper triangle
+    # and det N are compared.
+    (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = num
+    g0, g1, g2 = g
+    gr0, gr1, gr2 = g0 * r0, g0 * r1, g0 * r2
+    gs0, gs1, gs2 = g1 * s0, g1 * s1, g1 * s2
+    gt0, gt1, gt2 = g2 * t0, g2 * t1, g2 * t2
+    dd = den * den
+    return (
+        gr0 * r0 + gs0 * s0 + gt0 * t0 == g0 * dd
+        and gr0 * r1 + gs0 * s1 + gt0 * t1 == 0
+        and gr0 * r2 + gs0 * s2 + gt0 * t2 == 0
+        and gr1 * r1 + gs1 * s1 + gt1 * t1 == g1 * dd
+        and gr1 * r2 + gs1 * s2 + gt1 * t2 == 0
+        and gr2 * r2 + gs2 * s2 + gt2 * t2 == g2 * dd
+        and _det(num) == dd * den
+    )
+
+
+def _int_isometry_loop(num, den: int, g) -> bool:
+    # _int_special_isometry for any n, one entry of N^T g N at a time.
     n = len(num)
     cols = list(zip(*num))
     for i in range(n):

@@ -29,7 +29,6 @@ from .errors import AmbiguityError, CertificateError, PrecisionExhausted
 from .linalg import (
     Mat,
     aplus,
-    int_matmul,
     is_special_isometry,
     lambda_inverse,
     lambda_matrix,
@@ -76,7 +75,7 @@ class Angles(NamedTuple):
 
 
 def _as_param(x):
-    if isinstance(x, (Infinity, PadicApprox)):
+    if isinstance(x, (Fraction, Infinity, PadicApprox)):
         return x
     return Fraction(x)
 
@@ -182,24 +181,36 @@ def identity_rotation(ctx: PrimeCtx) -> Rot3:
     return Rot3(ctx, Mat.identity(3))
 
 
+def _block_ints(d: Fraction, t) -> tuple:
+    """R_d(t) for a rational or infinite t as four integers (c, b, s, den):
+    the block [[c, b], [s, c]] / den.
+
+    For t = n/m and d = dn/dd that is c = dd m^2 - dn n^2, b = -2nm dn,
+    s = 2nm dd and den = dd m^2 + dn n^2; t = INF gives -I as (-1, 0, 0, 1).
+    """
+    if isinstance(t, Infinity):
+        return -1, 0, 0, 1
+    n, m = t.numerator, t.denominator
+    dn, dd = d.numerator, d.denominator
+    a, b, s = dd * m * m, dn * n * n, 2 * n * m
+    return a - b, -s * dn, s * dd, a + b
+
+
 def _axis_block(ctx: PrimeCtx, axis: str, t) -> tuple:
     """R_d(t) about a reference axis, embedded at the axis's slots of the
     3x3 identity, as (rows, den) with rows / den the matrix.
 
-    For t = n/m and d = dn/dd the block is
-    [[C, -2nm dn], [2nm dd, C]] / (dd m^2 + dn n^2) with C = dd m^2 - dn n^2,
-    in integers; t = INF gives -I over 1.  A capped-precision t gives
-    so2_make's entries and den None.
+    A rational or infinite t gives the integer block of _block_ints; a
+    capped-precision t gives so2_make's entries and den None.  Only
+    axis_rotation and the capped branch of _cardano_product build these
+    3x3 rows.
     """
     d, t = ctx.axis_d(axis), _as_param(t)
     if isinstance(t, PadicApprox):
         block, den = so2_make(ctx, d, t).mat.rows, None
-    elif isinstance(t, Infinity):
-        block, den = ((-1, 0), (0, -1)), 1
     else:
-        n, m = t.numerator, t.denominator
-        a, b, s = d.denominator * m * m, d.numerator * n * n, 2 * n * m
-        block, den = ((a - b, -s * d.numerator), (s * d.denominator, a - b)), a + b
+        c, b, s, den = _block_ints(d, t)
+        block = ((c, b), (s, c))
     one, zero = (Fraction(1), Fraction(0)) if den is None else (den, 0)
     rows = [[one if i == j else zero for j in range(3)] for i in range(3)]
     slots = AXIS_SLOTS[axis]
@@ -214,15 +225,31 @@ def _block_mat(rows, den) -> Mat:
 
 
 def _cardano_product(ctx: PrimeCtx, angles) -> Mat:
-    # Rational and infinite parameters multiply as integer blocks over one
-    # denominator; a capped-precision parameter sends the product through
-    # Mat's entry path.
-    blocks = [_axis_block(ctx, axis, t) for axis, t in zip(ctx.AXES, angles)]
-    if any(den is None for _, den in blocks):
-        z, y, x = (_block_mat(*block) for block in blocks)
+    """R_z(alpha) R_y(beta) R_x(gamma) as an uncertified Mat.
+
+    Rational and infinite parameters multiply in closed form over the
+    integers.  With the blocks of _block_ints embedded as
+    Z = [[a, b, 0], [c, a, 0], [0, 0, dz]], Y = [[e, 0, f], [0, dy, 0], [g, 0, e]]
+    and X = [[dx, 0, 0], [0, h, j], [0, i, h]], the nine numerators of
+    Z Y X take 21 products over the denominator dz dy dx.  A
+    capped-precision parameter sends the product through Mat's entry path.
+    """
+    alpha, beta, gamma = params = [_as_param(t) for t in angles]
+    if any(isinstance(t, PadicApprox) for t in params):
+        z, y, x = (_block_mat(*_axis_block(ctx, axis, t)) for axis, t in zip(ctx.AXES, params))
         return z * y * x
-    (z, dz), (y, dy), (x, dx) = blocks
-    return Mat.from_numerators(int_matmul(int_matmul(z, y), x), dz * dy * dx)
+    a, b, c, dz = _block_ints(ctx.d_z, alpha)
+    e, f, g, dy = _block_ints(ctx.d_y, beta)
+    h, j, i, dx = _block_ints(ctx.d_x, gamma)
+    # Z Y = [[ae, b dy, af], [ce, a dy, cf], [g dz, 0, e dz]]
+    ae, af, ce, cf = a * e, a * f, c * e, c * f
+    bdy, ady, gdz, edz = b * dy, a * dy, g * dz, e * dz
+    num = (
+        (ae * dx, bdy * h + af * i, bdy * j + af * h),
+        (ce * dx, ady * h + cf * i, ady * j + cf * h),
+        (gdz * dx, edz * i, edz * h),
+    )
+    return Mat.from_numerators(num, dz * dy * dx)
 
 
 def cardano_matrix(ctx: PrimeCtx, angles) -> Rot3:

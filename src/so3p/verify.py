@@ -339,7 +339,10 @@ def run_suites(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the named suites with a per-suite seeded stream; `samples=None`
-    picks a per-suite default sized for interactive use."""
+    picks a per-suite default sized for interactive use.  A count below 1
+    raises ValueError: a check run on no draws cannot fail."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     results: list[CheckResult] = []
     for name in names:
         if name not in _SUITES:

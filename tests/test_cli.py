@@ -19,7 +19,7 @@ from so3p.errors import AmbiguityError, PrecisionExhausted
 from so3p.formats import (
     format_matrix_json, format_rational, parse_angles, parse_matrix_json, parse_quat, parse_region,
 )
-from so3p.haar import integrate_so3
+from so3p.haar import integrate_so3, total_mass
 from so3p.padic import canonical_units
 from so3p.rotation import cardano_matrix, quat_to_rotation
 from so3p.verify import CheckResult
@@ -176,6 +176,22 @@ class TestHaar:
         assert code == 0
         assert out == expected + "\n"
 
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_mass_of_every_listed_tag_is_total_mass(self, capsys, p):
+        # the tags `haar mass --group` lists in its help, read back from it
+        def commands(parser):
+            return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+        mass = commands(commands(cli._build_parser())["haar"])["mass"]
+        group = next(a for a in mass._actions if "--group" in a.option_strings)
+        tags = [t.strip() for t in group.help.replace(" or ", ", ").split(",") if t.strip()]
+        assert tags == ["so3", "so2:-v", "so2:p", "so2:up", "so2:-p/v"]
+        ctx = canonical_units(p)
+        for tag in tags:
+            code, out, _ = run(capsys, "haar", "mass", "--group", tag, "--prime", str(p))
+            assert code == 0
+            assert out == format_rational(total_mass(ctx, tag)) + "\n", tag
+
     @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
     def test_mass_so3_large_prime(self, capsys, p):
         start = time.perf_counter()
@@ -322,6 +338,17 @@ class TestVerifyCommand:
                 "verify", "--prime", "3", "--suite", suite, "--samples", "5",
             )
             assert code == 0, out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        # a sampled identity checked on no draws cannot fail
+        for suite in ("algebra", "all"):
+            code, out, err = run(
+                capsys, "verify", "--prime", "5", "--suite", suite, "--samples", samples,
+            )
+            assert code == 2
+            assert out == ""
+            assert f"samples must be at least 1, got {samples}" in err
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         def fake(ctx, names, samples=None, seed=0):

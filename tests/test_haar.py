@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from so3p import haar
 from so3p.errors import RegionError
 from so3p.haar import (
     BallQp,
@@ -233,9 +234,11 @@ class TestIntegrator:
         assert total_mass(ctx, "so2:-v") == F(p + 1, p)
         assert total_mass(ctx, "so2:p") == 2
         assert total_mass(ctx, "so2:-p/v") == 2
+        assert total_mass(ctx, "so2:up") == 2
         assert total_mass(ctx, "so3") == 4 * F(p + 1, p)
-        with pytest.raises(ValueError):
-            total_mass(ctx, "so2:up")
+        for tag in ("so2:u", "so2", "so3:-v", "SO3"):
+            with pytest.raises(ValueError):
+                total_mass(ctx, tag)
 
     def test_shell_closed_form_equals_ball_route(self, ctx):
         p = ctx.p
@@ -499,6 +502,14 @@ class TestSampler:
         assert [a for a, _ in one] == [a for a, _ in again]
         assert [a for a, _ in one] == [a for a, _ in threaded]
         assert [r.mat for _, r in one] == [r.mat for _, r in threaded]
+
+    def test_batch_checks_each_axis_d_once(self, monkeypatch):
+        ctx = canonical_units(7)
+        seen = []
+        lookup = haar.so2_form
+        monkeypatch.setattr(haar, "so2_form", lambda c, d: seen.append(d) or lookup(c, d))
+        assert len(sample_so3_batch(ctx, 1, 130, digits=3)) == 130
+        assert seen == [ctx.d_z, ctx.d_y, ctx.d_x]
 
     def test_batch_prefix_is_chunk_stable(self):
         # Same seed, shorter batch: shared full chunks reproduce verbatim.

@@ -6,6 +6,8 @@ import pytest
 from conftest import PRIMES, rand_rational
 from so3p.linalg import (
     Mat,
+    _int_isometry_loop,
+    _int_special_isometry,
     QExtElem,
     aplus,
     aplus4,
@@ -169,6 +171,37 @@ def test_integer_certificate_rejects_non_rotations(p):
                 rows = [list(r) for r in rot.rows]
                 rows[i][j] += delta
                 assert not is_special_isometry(Mat(rows), form), (i, j, delta)
+
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unrolled_certificate_can_fail(p):
+    # The unrolled 3x3 integer certificate against the loop it unrolls, on
+    # certified matrices, on every single-entry +-1 change to N or D, and
+    # on -I and diag(1, 1, -1), which preserve the form with det -1.
+    ctx = canonical_units(p)
+    g = aplus(ctx)._integer_diag
+    rng = random.Random(61 + p)
+    cases = [
+        (((-1, 0, 0), (0, -1, 0), (0, 0, -1)), 1, False),
+        (((1, 0, 0), (0, 1, 0), (0, 0, -1)), 1, False),
+        (((3, 0, 0), (0, 3, 0), (0, 0, -3)), 3, False),
+    ]
+    for _ in range(8):
+        t = tuple(rand_rational(rng, p) for _ in range(3))
+        num, den = cardano_matrix(ctx, t).mat.integer_form()
+        cases.append((num, den, True))
+        cases.append((num, -den, False))  # det N = -D^3
+        for delta in (1, -1):
+            cases.append((num, den + delta, False))
+            for i in range(3):
+                for j in range(3):
+                    rows = [list(r) for r in num]
+                    rows[i][j] += delta
+                    cases.append((rows, den, False))
+    for num, den, certified in cases:
+        assert _int_special_isometry(num, den, g) is certified, (num, den)
+        assert _int_isometry_loop(num, den, g) is certified, (num, den)
 
 
 def test_padic_entries_take_generic_path():

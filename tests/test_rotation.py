@@ -1,5 +1,6 @@
 """SO(2) blocks, the Cardano chart, and the quaternion isomorphism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import pytest
 
 from so3p.errors import CertificateError, PrecisionExhausted
 from so3p.formats import parse_matrix_json
-from so3p.linalg import Mat, aplus, lambda_inverse, lambda_matrix, so2_form, is_special_isometry
+from so3p.linalg import (
+    Mat,
+    aplus,
+    clear_denominators,
+    is_special_isometry,
+    lambda_inverse,
+    lambda_matrix,
+    so2_form,
+)
 from so3p.padic import INF, Infinity, PadicApprox, canonical_units, valuation, values_agree
 from so3p.quaternion import Quat, conj_action_matrix, quat
 from so3p.rotation import (
@@ -724,6 +733,41 @@ class TestAxisBlocks:
             assert got.integer_form() is None
             # same entries, digit for digit, as the product of the blocks
             assert got.rows == (z * y * x).rows
+
+
+
+def fraction_product(mats) -> tuple:
+    """The product of Fraction matrices entry by entry, with no integer form."""
+    rows = mats[0].rows
+    for m in mats[1:]:
+        cols = tuple(zip(*m.rows))
+        rows = tuple(tuple(sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols) for r in rows)
+    return rows
+
+
+class TestClosedFormProduct:
+    """The 21-product closed form of the exact Cardano chart against the
+    three axis blocks multiplied as matrices."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 4294967311])
+    def test_closed_form_matches_block_products(self, p):
+        ctx = canonical_units(p)
+        rng = random.Random(f"closed-form:{p}")
+        # every slot takes INF, 0 and rationals of valuation -3..3
+        for kinds in itertools.product(("inf", "zero", "rational"), repeat=3):
+            for _ in range(4):
+                t = Angles(*(
+                    INF if kind == "inf" else Fraction(0) if kind == "zero"
+                    else rand_rational(rng, p, vmin=-3, vmax=3)
+                    for kind in kinds
+                ))
+                got = cardano_matrix(ctx, t).mat.integer_form()
+                z, y, x = (axis_rotation(ctx, axis, s).mat for axis, s in zip("zyx", t))
+                assert got == (z * y * x).integer_form(), t
+                # so2_make's blocks, multiplied in Fractions: shares no
+                # integer kernel with the closed form
+                hand = [Mat(hand_embedded(ctx, axis, s)) for axis, s in zip("zyx", t)]
+                assert got == clear_denominators(fraction_product(hand)), t
 
 
 def inverse_by_products(r):
