@@ -20,7 +20,8 @@ from so3p.formats import (
     format_matrix_json, format_rational, parse_angles, parse_matrix_json, parse_quat, parse_region,
 )
 from so3p.haar import integrate_so3, total_mass
-from so3p.padic import canonical_units
+from so3p.padic import canonical_units, rational_sqrt
+from so3p.quaternion import Quat
 from so3p.rotation import cardano_matrix, quat_to_rotation
 from so3p.verify import CheckResult
 
@@ -714,3 +715,84 @@ class TestPinnedSampleStream:
         code, out, err = run(capsys, *argv, *(["--matrices"] if matrices else []))
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[p, fmt, matrices]
+
+
+class TestPinnedCappedOutput:
+    """`rotate` and `decompose` print the same bytes on capped-precision
+    paths, release after release: per grid, the sha256 of every
+    invocation's exit code and stdout, recorded once.
+
+    The rotate grid mixes exact, infinite, capped and capped-zero
+    parameters in every slot.  The decompose grids take rotations whose
+    cos(beta) is irrational (the Hensel path) and the capped matrices the
+    rotate grid prints, each at precision 8, 16 and 32.  At p = 3 the
+    rotate grid holds 16/63,3^2 * [1,1,0,1,0,0,1,2],33/2, whose exact-zero
+    padding terms decide the digits of two entries.
+    """
+
+    DIGESTS = {
+        ("rotate", 3): "8e8ca2acb97505639ce5f7c414af21b5798d874ac1f909d00a5e648807a14c59",
+        ("rotate", 5): "031931c2d01ef6fc7c0fe68cc9c3f5530686dbdaa9e81b0602601b4f8f0d93c7",
+        ("rotate", 13): "5999d7023554b53e0b11c2e3c028a7a3f072f36f26111a6d08bd3b0140f53961",
+        ("hensel", 3): "29fd25b52f2566a3807f16b82bfeb438233e73a7f14eb42fada5f77c3222f2a4",
+        ("hensel", 5): "4b81f9c4d80ae8240e9274486da3cfa80540d81891d6c9a177abb43d31144d51",
+        ("hensel", 13): "49bb03c73ef5fa3a90ebf3ef9b209def28c9a6f1930171ba463457be213e0d43",
+        ("capped", 3): "a7addd21e77b1f93d8c36f39a78ac4cd536f53fa3618cb080e67177e2c12a1ef",
+        ("capped", 5): "9ab49f7c98f4ec6e2ae1674f868834a685710bc08342885bae26ba2310e00c98",
+        ("capped", 13): "db64f0e4b5425bcb495aaedf105b9890f7c8d3139cd7558455931caf8a065936",
+    }
+
+    @staticmethod
+    def literals(p):
+        exact = ["0", "inf", "16/63", "33/2"]
+        capped = [f"{p}^0 * [2,1,0,2,1,1,0,1]", f"{p}^2 * [1,1,0,1,0,0,1,2]", f"{p}^-1 * [1,2,2,1]"]
+        return exact, capped + [f"0 + O({p}^3)"]
+
+    @classmethod
+    def triples(cls, p):
+        exact, capped = cls.literals(p)
+        every = exact + capped
+        return [(a, b, c) for a in every for b in every for c in every if {a, b, c} & set(capped)]
+
+    @staticmethod
+    def hensel_matrices(p):
+        ctx = canonical_units(p)
+        quats = [(1, a, b, c) for a in (0, 1, 2) for b in (1, 3) for c in (-1, 2)]
+        mats = [quat_to_rotation(Quat(ctx, *map(Fraction, q))) for q in quats]
+        return [format_matrix_json(r.mat) for r in mats if rational_sqrt(1 - p * r.mat[2, 0] ** 2) is None]
+
+    @staticmethod
+    def digest(capsys, argvs):
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            h.update(f"{code}\n{out}".encode())
+        return h.hexdigest()
+
+    def rotate_argvs(self, p):
+        return [("rotate", "--prime", str(p), "--format", "json", ",".join(t)) for t in self.triples(p)]
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_rotate(self, capsys, p):
+        assert self.digest(capsys, self.rotate_argvs(p)) == self.DIGESTS["rotate", p]
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_decompose_hensel(self, capsys, p):
+        argvs = [
+            ("decompose", "--prime", str(p), "--precision", str(prec), text)
+            for text in self.hensel_matrices(p) for prec in (8, 16, 32)
+        ]
+        assert self.digest(capsys, argvs) == self.DIGESTS["hensel", p]
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_decompose_capped(self, capsys, p):
+        texts = []
+        for t in self.triples(p)[::7]:
+            code, out, _ = run(capsys, "rotate", "--prime", str(p), ",".join(t))
+            if code == 0:
+                texts.append(out)
+        argvs = [
+            ("decompose", "--prime", str(p), "--precision", str(prec), text)
+            for text in texts for prec in (8, 16, 32)
+        ]
+        assert self.digest(capsys, argvs) == self.DIGESTS["capped", p]
