@@ -23,7 +23,6 @@ measure-preservation statement at region level.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -531,6 +530,8 @@ _BATCH_CHUNK = 64
 
 
 def _stream_rng(seed, index: int) -> random.Random:
+    import hashlib  # deferred: importing it maps OpenSSL, and only batches hash
+
     key = hashlib.sha256(f"so3p.haar:{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(key[:16], "big"))
 
@@ -705,8 +706,11 @@ def invariance_report(g: Rot3, n: int, rng, digits: int = 16) -> InvarianceRepor
     counts_b: dict = {}
     flat = _residues_mod_p(g.mat, p)
     gbar = (flat[0:3], flat[3:6], flat[6:9])
+    # sample_so3's draws, with digits and the axis d checked once
+    _check_digits(digits)
+    es = _axis_valuations(ctx)
     for _ in range(n):
-        _, r = sample_so3(ctx, rng, digits)
+        _, r = _draw_so3(ctx, rng, digits, es)
         ka = _residues_mod_p(r.mat, p)
         # reduce first, multiply in F_p: same residues as reducing g r
         kb = _residue_product(gbar, ka, p)

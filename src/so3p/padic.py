@@ -310,18 +310,12 @@ class PadicApprox:
 
     @classmethod
     def from_rational(cls, x, p: int, n: int) -> "PadicApprox":
-        x = Fraction(x)
-        if x == 0:
+        x = _exact(x)
+        if not x:
             return cls.zero(p)
         if n < 1:
             raise ValueError("need at least one digit")
-        v = valuation(x, p)
-        num, den = x.numerator, x.denominator
-        num //= p ** _vp_int(num, p)
-        den //= p ** _vp_int(den, p)
-        mod = p**n
-        mant = num * pow(den, -1, mod) % mod
-        return cls(p=p, val=v, mant=mant, n=n)
+        return _exact_approx(x.numerator, x.denominator, p, n)
 
     @property
     def is_zero(self) -> bool:
@@ -341,18 +335,16 @@ class PadicApprox:
         return self.val + self.n
 
     def _coerce(self, other) -> "PadicApprox":
+        # An exact operand gets the digits this value's absolute precision
+        # allows, at least one; against the exact zero that is one digit.
         if isinstance(other, PadicApprox):
             if other.p != self.p:
                 raise ValueError("mixed primes")
             return other
-        x = Fraction(other)
-        if x == 0:
+        x = _exact(other)
+        if not x:
             return PadicApprox.zero(self.p)
-        if math.isinf(self.abs_known):
-            digits = 1
-        else:
-            digits = max(1, self.abs_known - valuation(x, self.p))
-        return PadicApprox.from_rational(x, self.p, digits)
+        return _exact_approx(x.numerator, x.denominator, self.p, known=self.abs_known)
 
     def _compose(self, v: int, t: int, width: int) -> "PadicApprox":
         # t is the value scaled by p**-v, known modulo p**width.
@@ -467,8 +459,28 @@ class PadicApprox:
         return out
 
     def congruent(self, other) -> bool:
-        """True when the two values agree on all overlapping known digits."""
-        return (self - other).is_zero
+        """True when the two values agree on all overlapping known digits.
+
+        For an exact other x that is self - x = 0 mod p**abs_known, which
+        is checked over the integers: it is what (self - x).is_zero gives,
+        without rounding x to a PadicApprox first.
+        """
+        if isinstance(other, PadicApprox):
+            return (self - other).is_zero
+        x = _exact(other)
+        known = self.abs_known
+        if known == math.inf:  # the exact zero
+            return not x
+        if not x:
+            return self.is_zero
+        p = self.p
+        vx, num, den = _split(x.numerator, x.denominator, p)
+        if self.is_zero:
+            return vx >= known
+        if vx >= known:
+            return False
+        v = min(self.val, vx)
+        return (self.mant * p ** (self.val - v) * den - num * p ** (vx - v)) % p ** (known - v) == 0
 
     def __repr__(self):
         if self.is_zero:
@@ -477,6 +489,39 @@ class PadicApprox:
             return f"PadicApprox(0 + O({self.p}^{self.val}))"
         ds = ",".join(str(d) for d in self.digits())
         return f"PadicApprox({self.p}^{self.val} * [{ds}])"
+
+
+def _exact(x):
+    # ints (bools too) and Fractions pass as they are; any other number is
+    # read through Fraction, which raises TypeError for non-numbers.
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _split(num: int, den: int, p: int) -> tuple:
+    """(v, num', den') with num / den = p**v num' / den' and num', den'
+    prime to p, for nonzero integers num and den: one pass per p-part."""
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
+def _exact_approx(num: int, den: int, p: int, n: int | None = None, known=math.inf) -> PadicApprox:
+    """num / den, for num != 0 and den > 0, as a PadicApprox of n digits.
+
+    With n None, the digit count is what absolute knowledge O(p**known)
+    leaves after the valuation, at least one; an infinite known gives one.
+    The mantissa is one modular inverse.
+    """
+    v, num, den = _split(num, den, p)
+    if n is None:
+        n = 1 if known == math.inf else max(1, known - v)
+    mod = p**n
+    return PadicApprox(p=p, val=v, mant=num * pow(den, -1, mod) % mod, n=n)
 
 
 def to_approx(x, ctx: PrimeCtx, n: int) -> PadicApprox:

@@ -103,8 +103,9 @@ def so2_make(ctx: PrimeCtx, d, alpha) -> So2Elem:
     if isinstance(alpha, Infinity):
         m = Mat.identity(2).scale(Fraction(-1))
     else:
-        den = 1 + d * alpha * alpha
-        c = (1 - d * alpha * alpha) / den
+        da2 = d * alpha * alpha
+        den = 1 + da2
+        c = (1 - da2) / den
         s = 2 * alpha / den
         m = Mat(((c, -d * s), (s, c)))
     return So2Elem(ctx, d, alpha, m)
@@ -202,8 +203,7 @@ def _axis_block(ctx: PrimeCtx, axis: str, t) -> tuple:
 
     A rational or infinite t gives the integer block of _block_ints; a
     capped-precision t gives so2_make's entries and den None.  Only
-    axis_rotation and the capped branch of _cardano_product build these
-    3x3 rows.
+    axis_rotation builds these 3x3 rows.
     """
     d, t = ctx.axis_d(axis), _as_param(t)
     if isinstance(t, PadicApprox):
@@ -224,6 +224,86 @@ def _block_mat(rows, den) -> Mat:
     return Mat(rows) if den is None else Mat.from_numerators(rows, den)
 
 
+def _block_entries(ctx: PrimeCtx, axis: str, t) -> tuple:
+    """R_d(t) = [[c, b], [s, c]] about a reference axis as (c, b, s), the
+    entries of _axis_block's matrix: Fractions for a rational or infinite
+    t, so2_make's entries for a capped-precision t."""
+    d = ctx.axis_d(axis)
+    if isinstance(t, PadicApprox):
+        (c, b), (s, _) = so2_make(ctx, d, t).mat.rows
+        return c, b, s
+    c, b, s, den = _block_ints(d, t)
+    return Fraction(c, den), Fraction(b, den), Fraction(s, den)
+
+
+def _times_zero(x):
+    # x * 0 for the exact 0 that pads a block: an exact zero of x's kind.
+    return PadicApprox.zero(x.p) if isinstance(x, PadicApprox) else Fraction(0)
+
+
+def _times_one(x):
+    # x * 1 for the exact 1 that pads a block.  PadicApprox's * rounds the
+    # 1 to x's absolute precision, which drops relative digits of an x of
+    # negative valuation; this keeps that rounding.
+    if not isinstance(x, PadicApprox) or x.is_zero or x.val >= 0:
+        return x
+    n = max(1, x.abs_known)
+    return PadicApprox(p=x.p, val=x.val, mant=x.mant % x.p**n, n=n)
+
+
+# The 0 and 1 that embed a 2x2 block in the 3x3 identity, as right factors.
+_PAD_ZERO, _PAD_ONE = object(), object()
+
+
+def _entry(*terms):
+    """One entry of a product in Mat's entry path: the products of the
+    (left, right) terms in order, each added to the sum of those before.
+    A left exact zero is skipped; a right padding 0 or 1 goes through
+    _times_zero or _times_one."""
+    acc = None
+    for left, right in terms:
+        if type(left) is Fraction and not left:
+            continue
+        if right is _PAD_ZERO:
+            term = _times_zero(left)
+        elif right is _PAD_ONE:
+            term = _times_one(left)
+        else:
+            term = left * right
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _capped_product(z, y, x) -> tuple:
+    """The rows of Z Y X from the (c, b, s) of each block, with at least
+    one entry capped.  These are the sums Mat's entry path makes of the
+    padded 3x3 blocks: the same terms, in the same order, so each entry
+    has the same digits.  The padding terms matter: a capped entry times
+    an exact 0 is the exact zero, and adding that to a nonzero Fraction
+    leaves it one digit.
+
+    Z = [[a, b, 0], [c, a, 0], [0, 0, 1]], Y = [[e, 0, f], [0, 1, 0], [g, 0, e]]
+    and X = [[1, 0, 0], [0, h, j], [0, i, h]].  The diagonal entries a, e
+    and h are never exact zeros, so no entry loses every term.
+    """
+    (a, b, c), (e, f, g), (h, j, i) = z, y, x
+    zero, one = _PAD_ZERO, _PAD_ONE
+    zy = (
+        (_entry((a, e), (b, zero)), _entry((a, zero), (b, one)), _entry((a, f), (b, zero))),
+        (_entry((c, e), (a, zero)), _entry((c, zero), (a, one)), _entry((c, f), (a, zero))),
+        # row 2 of Z is the padding: 1 times row 2 of Y
+        (_times_one(g), Fraction(0), _times_one(e)),
+    )
+    return tuple(
+        (
+            _entry((m0, one), (m1, zero), (m2, zero)),
+            _entry((m0, zero), (m1, h), (m2, i)),
+            _entry((m0, zero), (m1, j), (m2, h)),
+        )
+        for m0, m1, m2 in zy
+    )
+
+
 def _cardano_product(ctx: PrimeCtx, angles) -> Mat:
     """R_z(alpha) R_y(beta) R_x(gamma) as an uncertified Mat.
 
@@ -232,12 +312,11 @@ def _cardano_product(ctx: PrimeCtx, angles) -> Mat:
     Z = [[a, b, 0], [c, a, 0], [0, 0, dz]], Y = [[e, 0, f], [0, dy, 0], [g, 0, e]]
     and X = [[dx, 0, 0], [0, h, j], [0, i, h]], the nine numerators of
     Z Y X take 21 products over the denominator dz dy dx.  A
-    capped-precision parameter sends the product through Mat's entry path.
+    capped-precision parameter sends the product to _capped_product.
     """
     alpha, beta, gamma = params = [_as_param(t) for t in angles]
     if any(isinstance(t, PadicApprox) for t in params):
-        z, y, x = (_block_mat(*_axis_block(ctx, axis, t)) for axis, t in zip(ctx.AXES, params))
-        return z * y * x
+        return Mat(_capped_product(*(_block_entries(ctx, axis, t) for axis, t in zip(ctx.AXES, params))))
     a, b, c, dz = _block_ints(ctx.d_z, alpha)
     e, f, g, dy = _block_ints(ctx.d_y, beta)
     h, j, i, dx = _block_ints(ctx.d_x, gamma)

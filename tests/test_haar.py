@@ -713,6 +713,20 @@ class TestInvariance:
         b = invariance_report(g, 400, random.Random(82), digits=4)
         assert a == b
 
+    def test_fixed_seed_report_and_stream(self):
+        # recorded when the report drew through sample_so3; it draws in
+        # batch now, and must consume the generator exactly as before
+        ctx = canonical_units(3)
+        g = cardano_matrix(ctx, Angles(F(1), F(0), F(0)))
+        rng = random.Random(82)
+        report = invariance_report(g, 1500, rng, digits=4)
+        assert (report.statistic, report.dof, report.n, report.buckets) == (69.47159260240001, 54, 1500, 72)
+        assert report.pvalue == pytest.approx(0.5395537850525789, rel=1e-9)
+        ref = random.Random(82)
+        for _ in range(1500):
+            sample_so3(ctx, ref, 4)
+        assert rng.getstate() == ref.getstate()
+
     def test_generic_translation_not_rejected(self):
         ctx = canonical_units(3)
         g = cardano_matrix(ctx, Angles(F(1), F(0), F(0)))

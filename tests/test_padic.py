@@ -160,6 +160,74 @@ def test_cancellation_digit_loss():
     assert (to_approx(F(1), c3, 4) - to_approx(F(1 + 3**6), c3, 4)).is_zero
 
 
+def fraction_from_rational(x, p, n):
+    """PadicApprox.from_rational through Fraction and a valuation pass:
+    the reference for the integer coercion."""
+    x = F(x)
+    if x == 0:
+        return PadicApprox.zero(p)
+    v = valuation(x, p)
+    unit = x / F(p) ** v
+    mod = p**n
+    return PadicApprox(p=p, val=v, mant=unit.numerator * pow(unit.denominator, -1, mod) % mod, n=n)
+
+
+def fraction_coerce(a, x):
+    """PadicApprox._coerce of an exact x as it was built: a Fraction, its
+    valuation, and as many digits as a's absolute precision leaves."""
+    x = F(x)
+    if x == 0:
+        return PadicApprox.zero(a.p)
+    digits = 1 if math.isinf(a.abs_known) else max(1, a.abs_known - valuation(x, a.p))
+    return fraction_from_rational(x, a.p, digits)
+
+
+@st.composite
+def approx_and_exact(draw):
+    """(a, x): a is the exact zero, a capped zero or a digit string of
+    valuation -4..4; x is an int, a bool or a Fraction with p in its
+    numerator or denominator, of either sign, or 0, and sometimes close to
+    a, so that both answers of congruent occur."""
+    p = draw(st.sampled_from([3, 5, 13, 4294967311]))
+    kind = draw(st.sampled_from(["exact zero", "capped zero", "digits"]))
+    if kind == "exact zero":
+        a = PadicApprox.zero(p)
+    elif kind == "capped zero":
+        a = PadicApprox.zero(p, draw(st.integers(-4, 6)))
+    else:
+        unit = F(draw(st.integers(1, 10**6)) * p + draw(st.integers(1, p - 1)), draw(st.integers(1, 50)) * p + 1)
+        a = PadicApprox.from_rational(unit * F(p) ** draw(st.integers(-4, 4)), p, draw(st.integers(1, 10)))
+    k = draw(st.integers(-6, 12))
+    small = F(draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**3))) * F(p) ** k
+    x = draw(st.one_of(
+        st.integers(-10**6, 10**6),
+        st.booleans(),
+        st.just(small),
+        st.just(0 if a.is_zero else F(p) ** a.val * a.mant + small),
+    ))
+    return a, x
+
+
+@settings(max_examples=600, deadline=None)
+@given(approx_and_exact())
+def test_integer_coercion_matches_the_fraction_path(ax):
+    a, x = ax
+    got, want = a._coerce(x), fraction_coerce(a, x)
+    assert type(got) is PadicApprox
+    assert (got.p, got.val, got.mant, got.n) == (want.p, want.val, want.mant, want.n)
+    for n in (1, 3, 12):
+        assert PadicApprox.from_rational(x, a.p, n) == fraction_from_rational(x, a.p, n)
+    # congruent's integer check against the sum it replaces
+    assert a.congruent(x) == (a + (-want)).is_zero
+
+
+def test_coercion_against_the_exact_zero_keeps_one_digit():
+    # the FOUND case: the exact zero has infinite absolute precision, and
+    # an exact operand gets one digit against it
+    assert PadicApprox.zero(3) + F(2, 5) == PadicApprox(p=3, val=0, mant=1, n=1)
+    assert PadicApprox.zero(3, 4)._coerce(F(2, 45)) == PadicApprox.from_rational(F(2, 45), 3, 6)
+
+
 def test_approx_mixed_operand_and_validation():
     c3 = canonical_units(3)
     a = to_approx(F(1, 2), c3, 6)

@@ -34,6 +34,7 @@ from so3p.rotation import (
     so2_make,
     so2_param,
 )
+from so3p.rotation import AXIS_SLOTS, _axis_block, _block_mat, _capped_product, _cardano_product
 
 from conftest import rand_rational
 
@@ -768,6 +769,76 @@ class TestClosedFormProduct:
                 # integer kernel with the closed form
                 hand = [Mat(hand_embedded(ctx, axis, s)) for axis, s in zip("zyx", t)]
                 assert got == clear_denominators(fraction_product(hand)), t
+
+
+def entry_key(e):
+    return type(e), (e.val, e.mant, e.n) if isinstance(e, PadicApprox) else e
+
+
+class TestCappedProduct:
+    """The capped branch of the chart, written out from the 2x2 blocks,
+    against z * y * x of _axis_block's padded 3x3 matrices in Mat's entry
+    path: entry by entry, the same type, valuation, mantissa and digit
+    count."""
+
+    @staticmethod
+    def params(p):
+        exact = [Fraction(0), Fraction(16, 63), Fraction(-2, p), Fraction(33 * p * p, 2), INF]
+        capped = [
+            PadicApprox.from_rational(Fraction(7, 5 * p), p, 5),
+            PadicApprox.from_rational(Fraction(3, 11), p, 8),
+            PadicApprox.from_rational(Fraction(2 * p * p, 7), p, 6),
+            PadicApprox.zero(p, 3),
+            PadicApprox.zero(p),
+        ]
+        return exact + capped
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 4294967311])
+    def test_matches_the_padded_block_product(self, p):
+        ctx = canonical_units(p)
+        seen = 0
+        # every mix of exact, INF, capped and capped-zero parameters with
+        # at least one capped slot; the capped digit strings have negative,
+        # zero and positive valuation
+        for t in itertools.product(self.params(p), repeat=3):
+            if not any(isinstance(s, PadicApprox) for s in t):
+                continue
+            z, y, x = (_block_mat(*_axis_block(ctx, axis, s)) for axis, s in zip("zyx", t))
+            want = [entry_key(e) for r in (z * y * x).rows for e in r]
+            got = [entry_key(e) for r in _cardano_product(ctx, t).rows for e in r]
+            assert got == want, t
+            seen += 1
+        assert seen == 10**3 - 5**3
+
+    @staticmethod
+    def entry(rng, p, diagonal):
+        kind = rng.choice(["exact", "exact", "digits", "digits", "capped zero", "exact zero"])
+        if kind == "exact":
+            x = rand_rational(rng, p, vmin=-2, vmax=2)
+            return x if diagonal or rng.random() < 0.8 else Fraction(0)
+        if kind == "digits":
+            return PadicApprox.from_rational(rand_rational(rng, p, vmin=-2, vmax=2), p, rng.randint(1, 8))
+        return PadicApprox.zero(p, rng.randint(-2, 4)) if kind == "capped zero" else PadicApprox.zero(p)
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 4294967311])
+    def test_any_block_entries_match_the_padded_product(self, p):
+        """Entries no parameter gives, such as negative valuations or an
+        exact diagonal beside capped off-diagonals, reach every padding
+        term: each one decides a digit count somewhere in this grid."""
+        rng = random.Random(f"capped-product:{p}")
+        for _ in range(400):
+            blocks = [tuple(self.entry(rng, p, k == 0) for k in range(3)) for _ in range(3)]
+            if not any(isinstance(e, PadicApprox) for b in blocks for e in b):
+                continue
+            padded = []
+            for (i, j), (c, b, s) in zip(AXIS_SLOTS.values(), blocks):
+                rows = [list(r) for r in Mat.identity(3).rows]
+                rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, b, s, c
+                padded.append(Mat(rows))
+            z, y, x = padded
+            want = [entry_key(e) for r in (z * y * x).rows for e in r]
+            got = [entry_key(e) for r in _capped_product(*blocks) for e in r]
+            assert got == want, blocks
 
 
 def inverse_by_products(r):
