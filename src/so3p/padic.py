@@ -223,6 +223,19 @@ def _vp_int(n: int, p: int) -> int:
     return k
 
 
+def _split(num: int, den: int, p: int) -> tuple:
+    """(v, num', den') with num / den = p**v num' / den' and num', den'
+    prime to p, for nonzero integers num and den: one pass per p-part."""
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def valuation(x, p: int):
     """p-adic valuation; 0 maps to +infinity (math.inf)."""
     if isinstance(x, PadicApprox):
@@ -252,9 +265,7 @@ def unit_residue(x, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("unit residue of zero")
-    num, den = x.numerator, x.denominator
-    num //= p ** _vp_int(num, p)
-    den //= p ** _vp_int(den, p)
+    _, num, den = _split(x.numerator, x.denominator, p)
     return num * pow(den, -1, p) % p
 
 
@@ -492,22 +503,9 @@ class PadicApprox:
 
 
 def _exact(x):
-    # ints (bools too) and Fractions pass as they are; any other number is
-    # read through Fraction, which raises TypeError for non-numbers.
+    # ints (bools too) and Fractions pass as they are; any other value is
+    # read through Fraction.
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
-def _split(num: int, den: int, p: int) -> tuple:
-    """(v, num', den') with num / den = p**v num' / den' and num', den'
-    prime to p, for nonzero integers num and den: one pass per p-part."""
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num, den
 
 
 def _exact_approx(num: int, den: int, p: int, n: int | None = None, known=math.inf) -> PadicApprox:
@@ -566,10 +564,8 @@ def hensel_sqrt(a, ctx: PrimeCtx, n: int) -> PadicApprox:
         a = Fraction(a)
         if a == 0:
             return PadicApprox.zero(p)
-        val, digits = valuation(a, p), n
-        num, den = a.numerator, a.denominator
-        num //= p ** _vp_int(num, p)
-        den //= p ** _vp_int(den, p)
+        digits = n
+        val, num, den = _split(a.numerator, a.denominator, p)
         unit_mod = lambda m: num * pow(den, -1, p**m) % p**m  # noqa: E731
     cls = square_class(a, ctx)
     if cls is not SquareClass.ONE:

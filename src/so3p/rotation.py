@@ -275,16 +275,17 @@ def _entry(*terms):
 
 
 def _capped_product(z, y, x) -> tuple:
-    """The rows of Z Y X from the (c, b, s) of each block, with at least
-    one entry capped.  These are the sums Mat's entry path makes of the
-    padded 3x3 blocks: the same terms, in the same order, so each entry
-    has the same digits.  The padding terms matter: a capped entry times
-    an exact 0 is the exact zero, and adding that to a nonzero Fraction
-    leaves it one digit.
+    """The rows of Z Y X from the (c, b, s) of each block, some capped.
+
+    These are the sums Mat's entry path makes of the padded 3x3 blocks:
+    the same terms, in the same order, so each entry has the same digits.
+    The padding terms matter: a capped entry times an exact 0 is the
+    exact zero, and adding that to a nonzero Fraction leaves it one digit.
 
     Z = [[a, b, 0], [c, a, 0], [0, 0, 1]], Y = [[e, 0, f], [0, 1, 0], [g, 0, e]]
     and X = [[1, 0, 0], [0, h, j], [0, i, h]].  The diagonal entries a, e
-    and h are never exact zeros, so no entry loses every term.
+    and h are never exact zeros (1 - d t^2 has no rational root, d being
+    no square), so no entry loses every term.
     """
     (a, b, c), (e, f, g), (h, j, i) = z, y, x
     zero, one = _PAD_ZERO, _PAD_ONE
