@@ -823,8 +823,8 @@ class TestCappedProduct:
     @pytest.mark.parametrize("p", [3, 5, 13, 4294967311])
     def test_any_block_entries_match_the_padded_product(self, p):
         """Entries no parameter gives, such as negative valuations or an
-        exact diagonal beside capped off-diagonals, reach every padding
-        term: each one decides a digit count somewhere in this grid."""
+        exact diagonal beside capped off-diagonals: with them, padding
+        terms that parameters leave idle decide digit counts."""
         rng = random.Random(f"capped-product:{p}")
         for _ in range(400):
             blocks = [tuple(self.entry(rng, p, k == 0) for k in range(3)) for _ in range(3)]
