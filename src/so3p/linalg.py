@@ -302,13 +302,17 @@ def is_special_isometry(m: Mat, form: QuadForm) -> bool:
     if ints is not None and g is not None:
         return _int_special_isometry(*ints, g)
     diag = form.diag
+    rows = m.rows
     n = m.n
     zero = Fraction(0)
+    # the weighted rows diag[k] * rows[k], once each; entry (i, j) sums
+    # their column i against column j of rows in the order k = 0, 1, ...
+    weighted = [[d * e for e in r] for d, r in zip(diag, rows)]
     for i in range(n):
         for j in range(i, n):
-            acc = diag[0] * m.rows[0][i] * m.rows[0][j]
+            acc = weighted[0][i] * rows[0][j]
             for k in range(1, n):
-                acc = acc + diag[k] * m.rows[k][i] * m.rows[k][j]
+                acc = acc + weighted[k][i] * rows[k][j]
             if not values_agree(acc, diag[i] if i == j else zero):
                 return False
     return values_agree(m.det(), Fraction(1))

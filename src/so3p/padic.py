@@ -284,7 +284,15 @@ def is_square(x, ctx: PrimeCtx) -> bool:
     return square_class(x, ctx) is SquareClass.ONE
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _ppow(p: int, n: int) -> int:
+    """p**n, from one cache: the moduli of PadicApprox arithmetic recur."""
+    return p**n
+
+
+_set_field = object.__setattr__
+
+
 class PadicApprox:
     """A p-adic number known to finitely many significant digits.
 
@@ -298,26 +306,52 @@ class PadicApprox:
     count drops by the valuation jump of the result relative to the inputs,
     and when every known digit cancels the result collapses to a zero whose
     bound records how far the cancellation was actually checked.
+
+    An immutable slotted value: == and hash go by (p, val, mant, n), and
+    assigning or deleting a field raises AttributeError.
     """
+
+    __slots__ = ("p", "val", "mant", "n")
 
     p: int
     val: int | float  # math.inf only on the exact zero
     mant: int
     n: int
 
-    def __post_init__(self):
-        if self.mant == 0:
-            if self.n != 0:
+    def __init__(self, p: int, val: int | float, mant: int, n: int):
+        if mant == 0:
+            if n != 0:
                 raise ValueError("zero approx must have n == 0")
         else:
-            if self.n < 1 or not (1 <= self.mant < self.p**self.n):
+            if n < 1 or not (1 <= mant < _ppow(p, n)):
                 raise ValueError("mantissa out of range for stated precision")
-            if self.mant % self.p == 0:
+            if mant % p == 0:
                 raise ValueError("mantissa must be a unit")
+        _set_field(self, "p", p)
+        _set_field(self, "val", val)
+        _set_field(self, "mant", mant)
+        _set_field(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadicApprox is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PadicApprox is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return PadicApprox, (self.p, self.val, self.mant, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is not PadicApprox:
+            return NotImplemented
+        return self.p == other.p and self.val == other.val and self.mant == other.mant and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.p, self.val, self.mant, self.n))
 
     @classmethod
     def zero(cls, p: int, known: int | float = math.inf) -> "PadicApprox":
-        return cls(p=p, val=known, mant=0, n=0)
+        return cls(p, known, 0, 0)
 
     @classmethod
     def from_rational(cls, x, p: int, n: int) -> "PadicApprox":
@@ -355,50 +389,56 @@ class PadicApprox:
         x = _exact(other)
         if not x:
             return PadicApprox.zero(self.p)
-        return _exact_approx(x.numerator, x.denominator, self.p, known=self.abs_known)
+        return _exact_approx(x.numerator, x.denominator, self.p, None, self.val + self.n)
 
     def _compose(self, v: int, t: int, width: int) -> "PadicApprox":
         # t is the value scaled by p**-v, known modulo p**width.
         if width < 1:
             raise PrecisionExhausted("no digits remain")
-        t %= self.p**width
+        p = self.p
+        t %= _ppow(p, width)
         if t == 0:
-            return PadicApprox.zero(self.p, v + width)
-        j = _vp_int(t, self.p)
-        return PadicApprox(p=self.p, val=v + j, mant=t // self.p**j, n=width - j)
+            return PadicApprox.zero(p, v + width)
+        if t % p:
+            return PadicApprox(p, v, t, width)
+        j = _vp_int(t, p)
+        return PadicApprox(p, v + j, t // p**j, width - j)
 
     def _truncated(self, know) -> "PadicApprox":
         """This value with absolute knowledge capped at O(p**know)."""
-        if know >= self.abs_known:
+        val = self.val
+        if know >= val + self.n:
             return self
-        if self.val >= know:
+        if val >= know:
             return PadicApprox.zero(self.p, know)
-        return PadicApprox(
-            p=self.p, val=self.val, mant=self.mant % self.p ** (know - self.val), n=know - self.val
-        )
+        return PadicApprox(self.p, val, self.mant % _ppow(self.p, know - val), know - val)
 
     def __add__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.mant or not other.mant:
             # x + (0 + O(p^k)) is x truncated to knowledge k.
-            zero, x = (self, other) if self.is_zero else (other, self)
-            if x.is_zero:
+            zero, x = (self, other) if not self.mant else (other, self)
+            if not x.mant:
                 return x if x.val <= zero.val else zero
             return x._truncated(zero.val)
-        know = min(self.abs_known, other.abs_known)
-        v = min(self.val, other.val)
-        t = self.mant * self.p ** (self.val - v) + other.mant * self.p ** (other.val - v)
+        p, sv, ov = self.p, self.val, other.val
+        know = min(sv + self.n, ov + other.n)
+        # the sum scaled by p**-v for v the smaller valuation
+        if sv <= ov:
+            v, t = sv, self.mant + other.mant * p ** (ov - sv)
+        else:
+            v, t = ov, self.mant * p ** (sv - ov) + other.mant
         return self._compose(v, t, know - v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
+        if not self.mant:
             return self
-        return PadicApprox(p=self.p, val=self.val, mant=self.p**self.n - self.mant, n=self.n)
+        return PadicApprox(self.p, self.val, _ppow(self.p, self.n) - self.mant, self.n)
 
     def __sub__(self, other):
         try:
@@ -415,12 +455,11 @@ class PadicApprox:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.mant or not other.mant:
             # (0 + O(p^k)) * x = 0 + O(p^(k + v(x))).
             return PadicApprox.zero(self.p, self.val + other.val)
         n = min(self.n, other.n)
-        mant = self.mant * other.mant % self.p**n
-        return PadicApprox(p=self.p, val=self.val + other.val, mant=mant, n=n)
+        return PadicApprox(self.p, self.val + other.val, self.mant * other.mant % _ppow(self.p, n), n)
 
     __rmul__ = __mul__
 
@@ -434,27 +473,26 @@ class PadicApprox:
         f = Fraction(f)
         if f == 0:
             return PadicApprox.zero(self.p)
-        vf = valuation(f, self.p)
-        if self.is_zero:
+        vf, num, den = _split(f.numerator, f.denominator, self.p)
+        if not self.mant:
             return PadicApprox.zero(self.p, self.val + vf)
-        unit = f / Fraction(self.p) ** vf
-        mod = self.p**self.n
-        mant = self.mant * unit.numerator * pow(unit.denominator, -1, mod) % mod
-        return PadicApprox(p=self.p, val=self.val + vf, mant=mant, n=self.n)
+        mod = _ppow(self.p, self.n)
+        mant = self.mant * num * pow(den, -1, mod) % mod
+        return PadicApprox(self.p, self.val + vf, mant, self.n)
 
     def __truediv__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if other.is_zero:
+        if not other.mant:
             raise ZeroDivisionError("division by p-adic zero")
-        if self.is_zero:
+        if not self.mant:
             return PadicApprox.zero(self.p, self.val - other.val)
         n = min(self.n, other.n)
-        mod = self.p**n
+        mod = _ppow(self.p, n)
         mant = self.mant * pow(other.mant, -1, mod) % mod
-        return PadicApprox(p=self.p, val=self.val - other.val, mant=mant, n=n)
+        return PadicApprox(self.p, self.val - other.val, mant, n)
 
     def __rtruediv__(self, other):
         coerced = self._coerce(other)
@@ -491,7 +529,7 @@ class PadicApprox:
         if vx >= known:
             return False
         v = min(self.val, vx)
-        return (self.mant * p ** (self.val - v) * den - num * p ** (vx - v)) % p ** (known - v) == 0
+        return (self.mant * p ** (self.val - v) * den - num * p ** (vx - v)) % _ppow(p, known - v) == 0
 
     def __repr__(self):
         if self.is_zero:
@@ -508,18 +546,22 @@ def _exact(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+@lru_cache(maxsize=512)
 def _exact_approx(num: int, den: int, p: int, n: int | None = None, known=math.inf) -> PadicApprox:
     """num / den, for num != 0 and den > 0, as a PadicApprox of n digits.
 
     With n None, the digit count is what absolute knowledge O(p**known)
     leaves after the valuation, at least one; an infinite known gives one.
-    The mantissa is one modular inverse.
+    The mantissa is one modular inverse, none for an integer.  Exact
+    operands such as 1, 2 and an axis d recur in every block, so the
+    results are cached; they are immutable values, safe to share.
     """
     v, num, den = _split(num, den, p)
     if n is None:
         n = 1 if known == math.inf else max(1, known - v)
-    mod = p**n
-    return PadicApprox(p=p, val=v, mant=num * pow(den, -1, mod) % mod, n=n)
+    mod = _ppow(p, n)
+    mant = num % mod if den == 1 else num * pow(den, -1, mod) % mod
+    return PadicApprox(p, v, mant, n)
 
 
 def to_approx(x, ctx: PrimeCtx, n: int) -> PadicApprox:

@@ -95,6 +95,23 @@ class So2Elem:
     mat: Mat
 
 
+def _so2_entries(d: Fraction, alpha) -> tuple:
+    """(c, b, s) of R_d(alpha) = [[c, b], [s, c]] for a finite alpha:
+    c = (1 - d a^2)/(1 + d a^2), s = 2a/(1 + d a^2) and b = -d s.
+
+    Over Q the denominator never vanishes, d being positive.  A capped
+    alpha can leave no digit of it known, as 0 + O(p^0) does on an axis
+    whose d is a unit: then the block is unknown, PrecisionExhausted.
+    """
+    da2 = d * alpha * alpha
+    den = 1 + da2
+    if _is_zero(den):
+        raise PrecisionExhausted("no digit of 1 + d*alpha^2 is known at this parameter's precision")
+    c = (1 - da2) / den
+    s = 2 * alpha / den
+    return c, -d * s, s
+
+
 def so2_make(ctx: PrimeCtx, d, alpha) -> So2Elem:
     """Build the SO(2)_{p,d} element of parameter alpha (INF gives -I)."""
     so2_form(ctx, d)
@@ -103,11 +120,8 @@ def so2_make(ctx: PrimeCtx, d, alpha) -> So2Elem:
     if isinstance(alpha, Infinity):
         m = Mat.identity(2).scale(Fraction(-1))
     else:
-        da2 = d * alpha * alpha
-        den = 1 + da2
-        c = (1 - da2) / den
-        s = 2 * alpha / den
-        m = Mat(((c, -d * s), (s, c)))
+        c, b, s = _so2_entries(d, alpha)
+        m = Mat(((c, b), (s, c)))
     return So2Elem(ctx, d, alpha, m)
 
 
@@ -230,8 +244,7 @@ def _block_entries(ctx: PrimeCtx, axis: str, t) -> tuple:
     t, so2_make's entries for a capped-precision t."""
     d = ctx.axis_d(axis)
     if isinstance(t, PadicApprox):
-        (c, b), (s, _) = so2_make(ctx, d, t).mat.rows
-        return c, b, s
+        return _so2_entries(d, t)
     c, b, s, den = _block_ints(d, t)
     return Fraction(c, den), Fraction(b, den), Fraction(s, den)
 

@@ -440,6 +440,13 @@ class TestDigitBudget:
         assert (code, out) == (3, "")
         assert "precision exhausted" in err and "digit budget" in err
 
+    def test_capped_angle_that_leaves_the_block_unknown_exits_3(self, capsys):
+        # alpha = 0 + O(3^0) on the z axis, whose d is a unit, leaves no
+        # digit of 1 + d*alpha^2; this used to exit 2 as a division by zero
+        code, out, err = run(capsys, "rotate", "--prime", "3", "0 + O(3^0),inf,-9/8")
+        assert (code, out) == (3, "")
+        assert "precision exhausted" in err
+
     @pytest.mark.parametrize("angles", ["inf,3^0 * [1],0", "0,3^0 * [1],inf"])
     def test_capped_matrix_with_infinite_parameter(self, capsys, monkeypatch, angles):
         code, text, _ = run(capsys, "rotate", "--prime", "3", angles)

@@ -17,7 +17,7 @@ from so3p.linalg import (
     lambda_matrix,
     so2_form,
 )
-from so3p.padic import PadicApprox, canonical_units
+from so3p.padic import PadicApprox, canonical_units, values_agree
 from so3p.quaternion import quat
 from so3p.rotation import cardano_matrix, decompose_cardano, quat_to_rotation
 
@@ -229,6 +229,16 @@ def test_padic_certificate_takes_generic_path(p):
     assert is_special_isometry(approx, aplus(ctx))
     rows = [list(r) for r in approx.rows]
     rows[0][0] = rows[0][0] + F(1)
+    assert not is_special_isometry(Mat(rows), aplus(ctx))
+    # one digit changed in place, and a row negated: that preserves the
+    # diagonal form but makes det -1
+    e = approx.rows[1][2]
+    digit = e.digits()[5]
+    rows = [list(r) for r in approx.rows]
+    rows[1][2] = PadicApprox(p=p, val=e.val, mant=e.mant + ((digit + 1) % p - digit) * p**5, n=e.n)
+    assert not is_special_isometry(Mat(rows), aplus(ctx))
+    rows = [[-e for e in approx.rows[0]], *approx.rows[1:]]
+    assert values_agree(Mat(rows).det(), F(-1))
     assert not is_special_isometry(Mat(rows), aplus(ctx))
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -219,6 +221,166 @@ def test_integer_coercion_matches_the_fraction_path(ax):
         assert PadicApprox.from_rational(x, a.p, n) == fraction_from_rational(x, a.p, n)
     # congruent's integer check against the sum it replaces
     assert a.congruent(x) == (a + (-want)).is_zero
+
+
+# The arithmetic as it was written on the frozen dataclass, field by field:
+# the reference for the slotted kernel, which must give the same
+# (p, val, mant, n) or raise the same exception.
+def ref_operand(a, x):
+    return x if isinstance(x, PadicApprox) else fraction_coerce(a, x)
+
+
+def ref_compose(p, v, t, width):
+    if width < 1:
+        raise PrecisionExhausted("no digits remain")
+    t %= p**width
+    if t == 0:
+        return PadicApprox.zero(p, v + width)
+    j = valuation(t, p)
+    return PadicApprox(p=p, val=v + j, mant=t // p**j, n=width - j)
+
+
+def ref_add(a, x):
+    b = ref_operand(a, x)
+    if a.is_zero or b.is_zero:
+        zero, y = (a, b) if a.is_zero else (b, a)
+        if y.is_zero:
+            return y if y.val <= zero.val else zero
+        know = zero.val
+        if know >= y.abs_known:
+            return y
+        if y.val >= know:
+            return PadicApprox.zero(a.p, know)
+        return PadicApprox(p=a.p, val=y.val, mant=y.mant % a.p ** (know - y.val), n=know - y.val)
+    know = min(a.abs_known, b.abs_known)
+    v = min(a.val, b.val)
+    t = a.mant * a.p ** (a.val - v) + b.mant * a.p ** (b.val - v)
+    return ref_compose(a.p, v, t, know - v)
+
+
+def ref_neg(a):
+    if a.is_zero:
+        return a
+    return PadicApprox(p=a.p, val=a.val, mant=a.p**a.n - a.mant, n=a.n)
+
+
+def ref_mul(a, x):
+    b = ref_operand(a, x)
+    if a.is_zero or b.is_zero:
+        return PadicApprox.zero(a.p, a.val + b.val)
+    n = min(a.n, b.n)
+    return PadicApprox(p=a.p, val=a.val + b.val, mant=a.mant * b.mant % a.p**n, n=n)
+
+
+def ref_truediv(a, x):
+    b = ref_operand(a, x)
+    if b.is_zero:
+        raise ZeroDivisionError("division by p-adic zero")
+    if a.is_zero:
+        return PadicApprox.zero(a.p, a.val - b.val)
+    n = min(a.n, b.n)
+    mod = a.p**n
+    return PadicApprox(p=a.p, val=a.val - b.val, mant=a.mant * pow(b.mant, -1, mod) % mod, n=n)
+
+
+def ref_scaled(a, f):
+    f = F(f)
+    if f == 0:
+        return PadicApprox.zero(a.p)
+    vf = valuation(f, a.p)
+    if a.is_zero:
+        return PadicApprox.zero(a.p, a.val + vf)
+    unit = f / F(a.p) ** vf
+    mod = a.p**a.n
+    return PadicApprox(p=a.p, val=a.val + vf, mant=a.mant * unit.numerator * pow(unit.denominator, -1, mod) % mod, n=a.n)
+
+
+def outcome(f, *args):
+    """(p, val, mant, n) of f(*args), or the type of what it raised."""
+    try:
+        r = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    if isinstance(r, bool):
+        return r
+    assert type(r) is PadicApprox
+    return r.p, r.val, r.mant, r.n
+
+
+@st.composite
+def approx_operands(draw):
+    """(a, b): b is exact as in approx_and_exact, or a capped operand of
+    a's prime drawn the same way as a."""
+    a, x = draw(approx_and_exact())
+    if draw(st.booleans()):
+        return a, x
+    b, _ = draw(approx_and_exact().filter(lambda ax: ax[0].p == a.p))
+    return a, b
+
+
+@settings(max_examples=600, deadline=None)
+@given(approx_operands())
+def test_arithmetic_matches_the_reference_formulas(ab):
+    a, b = ab
+    exact = not isinstance(b, PadicApprox)
+    cases = [
+        (lambda: a + b, lambda: ref_add(a, b)),
+        (lambda: b + a, lambda: ref_add(a, b) if exact else ref_add(b, a)),
+        (lambda: a - b, lambda: ref_add(a, ref_neg(ref_operand(a, b)))),
+        (lambda: b - a, lambda: ref_add(ref_neg(a), b) if exact else ref_add(b, ref_neg(a))),
+        (lambda: a * b, lambda: ref_mul(a, b)),
+        (lambda: b * a, lambda: ref_mul(a, b) if exact else ref_mul(b, a)),
+        (lambda: a / b, lambda: ref_truediv(a, b)),
+        (lambda: b / a, lambda: ref_truediv(ref_operand(a, b), a)),
+        (lambda: -a, lambda: ref_neg(a)),
+        (lambda: a.congruent(b), lambda: ref_add(a, ref_neg(ref_operand(a, b))).is_zero),
+    ]
+    if exact:
+        cases.append((lambda: a.scaled(b), lambda: ref_scaled(a, b)))
+    for got, want in cases:
+        assert outcome(got) == outcome(want)
+
+
+def test_approx_is_an_immutable_value():
+    a = PadicApprox(p=5, val=-2, mant=7, n=3)
+    b = PadicApprox(5, -2, 7, 3)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, PadicApprox.zero(5), PadicApprox.zero(5)}) == 2
+    for other in (PadicApprox(5, -1, 7, 3), PadicApprox(5, -2, 8, 3), PadicApprox(5, -2, 7, 4), PadicApprox(7, -2, 9, 3)):
+        assert a != other
+    # never equal to its fields, nor to the number it approximates
+    assert a != (5, -2, 7, 3) and (5, -2, 7, 3) != a
+    assert PadicApprox.zero(3) != 0 and PadicApprox(3, 0, 1, 1) != 1
+    for name in ("p", "val", "mant", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.p, a.val, a.mant, a.n) == (5, -2, 7, 3)
+    assert not hasattr(a, "__dict__")
+    for x in (a, PadicApprox.zero(5), PadicApprox.zero(5, 4)):
+        for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(back) is PadicApprox and back == x and hash(back) == hash(x)
+            assert (back.p, back.val, back.mant, back.n) == (x.p, x.val, x.mant, x.n)
+    assert repr(a) == "PadicApprox(5^-2 * [2,1,0])"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((3, 0, 0, 2), "zero approx must have n == 0"),
+        ((3, 0, 1, 0), "mantissa out of range"),
+        ((3, 0, 9, 2), "mantissa out of range"),
+        ((3, 0, -1, 2), "mantissa out of range"),
+        ((3, 0, 6, 2), "mantissa must be a unit"),
+    ],
+)
+def test_approx_construction_is_checked(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PadicApprox(*fields)
+    p, val, mant, n = fields
+    with pytest.raises(ValueError, match=message):
+        PadicApprox(p=p, val=val, mant=mant, n=n)
 
 
 def test_coercion_against_the_exact_zero_keeps_one_digit():

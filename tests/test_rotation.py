@@ -200,6 +200,20 @@ class TestSo2:
         with pytest.raises(ValueError):
             so2_make(ctx, Fraction(5 if ctx.p != 5 else 7), 1)
 
+    def test_capped_parameter_with_no_known_denominator(self, ctx):
+        # 1 + d alpha^2 keeps no digit: 0 + O(p^0) on the unit d of z, and
+        # 0 + O(p^-1) on d = p; it used to be division by a p-adic zero
+        p = ctx.p
+        for d, known in ((ctx.d_z, 0), (ctx.d_y, -1)):
+            with pytest.raises(PrecisionExhausted):
+                so2_make(ctx, d, PadicApprox.zero(p, known))
+        with pytest.raises(PrecisionExhausted):
+            cardano_matrix(ctx, (PadicApprox.zero(p, 0), INF, Fraction(-9, 8)))
+        # one more known digit of alpha leaves the identity to O(p^2) and O(p)
+        (c, b), (s, c2) = so2_make(ctx, ctx.d_z, PadicApprox.zero(p, 1)).mat.rows
+        assert c == c2 == PadicApprox(p=p, val=0, mant=1, n=2)
+        assert b == s == PadicApprox.zero(p, 1)
+
 
 class TestCardano:
     def test_identity_triple(self, ctx):
