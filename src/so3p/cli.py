@@ -19,9 +19,11 @@ configuration and seed produce identical output bytes.  Exit codes:
 0 success, 1 verification failure, 2 parse failure, bad prime, or an
 option the command does not take, 3 certificate failure or exhausted
 digit budget (including a capped matrix whose digits cannot tell alpha
-or gamma from infinity), 4 ambiguity (the canonical Cardano triple does
-not rebuild the matrix), 5 malformed region, 141 stdout closed early
-(as by `| head`), with nothing on stderr.
+or gamma from infinity, and a capped angle that leaves no digit of
+1 + d*a^2 known, as `0 + O(3^0)` for alpha at p = 3), 4 ambiguity (the
+canonical Cardano triple does not rebuild the matrix), 5 malformed
+region, 141 stdout closed early (as by `| head`), with nothing on
+stderr.
 """
 
 from __future__ import annotations

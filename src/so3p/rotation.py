@@ -241,7 +241,7 @@ def _block_mat(rows, den) -> Mat:
 def _block_entries(ctx: PrimeCtx, axis: str, t) -> tuple:
     """R_d(t) = [[c, b], [s, c]] about a reference axis as (c, b, s), the
     entries of _axis_block's matrix: Fractions for a rational or infinite
-    t, so2_make's entries for a capped-precision t."""
+    t, _so2_entries' for a capped-precision t."""
     d = ctx.axis_d(axis)
     if isinstance(t, PadicApprox):
         return _so2_entries(d, t)
