@@ -185,20 +185,25 @@ def fraction_coerce(a, x):
 
 
 @st.composite
+def approx_at(draw, p):
+    """The exact zero, a capped zero or a digit string of valuation -4..4."""
+    kind = draw(st.sampled_from(["exact zero", "capped zero", "digits"]))
+    if kind == "exact zero":
+        return PadicApprox.zero(p)
+    if kind == "capped zero":
+        return PadicApprox.zero(p, draw(st.integers(-4, 6)))
+    unit = F(draw(st.integers(1, 10**6)) * p + draw(st.integers(1, p - 1)), draw(st.integers(1, 50)) * p + 1)
+    return PadicApprox.from_rational(unit * F(p) ** draw(st.integers(-4, 4)), p, draw(st.integers(1, 10)))
+
+
+@st.composite
 def approx_and_exact(draw):
     """(a, x): a is the exact zero, a capped zero or a digit string of
     valuation -4..4; x is an int, a bool or a Fraction with p in its
     numerator or denominator, of either sign, or 0, and sometimes close to
     a, so that both answers of congruent occur."""
     p = draw(st.sampled_from([3, 5, 13, 4294967311]))
-    kind = draw(st.sampled_from(["exact zero", "capped zero", "digits"]))
-    if kind == "exact zero":
-        a = PadicApprox.zero(p)
-    elif kind == "capped zero":
-        a = PadicApprox.zero(p, draw(st.integers(-4, 6)))
-    else:
-        unit = F(draw(st.integers(1, 10**6)) * p + draw(st.integers(1, p - 1)), draw(st.integers(1, 50)) * p + 1)
-        a = PadicApprox.from_rational(unit * F(p) ** draw(st.integers(-4, 4)), p, draw(st.integers(1, 10)))
+    a = draw(approx_at(p))
     k = draw(st.integers(-6, 12))
     small = F(draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**3))) * F(p) ** k
     x = draw(st.one_of(
@@ -295,10 +300,11 @@ def ref_scaled(a, f):
     return PadicApprox(p=a.p, val=a.val + vf, mant=a.mant * unit.numerator * pow(unit.denominator, -1, mod) % mod, n=a.n)
 
 
-def outcome(f, *args):
-    """(p, val, mant, n) of f(*args), or the type of what it raised."""
+def outcome(f):
+    """(p, val, mant, n) of f(), the bool it returned, or the type of what
+    it raised."""
     try:
-        r = f(*args)
+        r = f()
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
     if isinstance(r, bool):
@@ -312,10 +318,7 @@ def approx_operands(draw):
     """(a, b): b is exact as in approx_and_exact, or a capped operand of
     a's prime drawn the same way as a."""
     a, x = draw(approx_and_exact())
-    if draw(st.booleans()):
-        return a, x
-    b, _ = draw(approx_and_exact().filter(lambda ax: ax[0].p == a.p))
-    return a, b
+    return a, x if draw(st.booleans()) else draw(approx_at(a.p))
 
 
 @settings(max_examples=600, deadline=None)
