@@ -84,11 +84,13 @@ def _settings(args) -> None:
         raise ValueError("threads must be at least 1")
 
 
-def _emit(args, text: str, payload: dict) -> None:
+def _emit(args, text, payload) -> None:
+    """Print the rendering --format asks for.  text and payload are
+    zero-argument callables, so the other rendering is never built."""
     if args.format == "json":
-        print(json.dumps({"schema": 1, **payload}))
+        print(json.dumps({"schema": 1, **payload()}))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_classify(ctx: PrimeCtx, args) -> int:
@@ -96,7 +98,7 @@ def _cmd_classify(ctx: PrimeCtx, args) -> int:
     if x is INF:
         raise ValueError("inf has no square class")
     name = _CLASS_NAMES[square_class(x, ctx)]
-    _emit(args, name, {"class": name})
+    _emit(args, lambda: name, lambda: {"class": name})
     return 0
 
 
@@ -107,7 +109,7 @@ def _cmd_rotate(ctx: PrimeCtx, args) -> int:
         r = quat_to_rotation(parse_quat(args.quat, ctx))
     else:
         r = cardano_matrix(ctx, parse_angles(args.angles, ctx.p))
-    _emit(args, format_matrix_json(r.mat), {"matrix": matrix_rows(r.mat)})
+    _emit(args, lambda: format_matrix_json(r.mat), lambda: {"matrix": matrix_rows(r.mat)})
     return 0
 
 
@@ -126,7 +128,7 @@ def _cmd_compose(ctx: PrimeCtx, args) -> int:
     else:
         raise ValueError("compose takes two matrices, or none with a pair on stdin")
     r = Rot3(ctx, mats[0]) * Rot3(ctx, mats[1])
-    _emit(args, format_matrix_json(r.mat), {"matrix": matrix_rows(r.mat)})
+    _emit(args, lambda: format_matrix_json(r.mat), lambda: {"matrix": matrix_rows(r.mat)})
     return 0
 
 
@@ -136,13 +138,13 @@ def _cmd_decompose(ctx: PrimeCtx, args) -> int:
         text = sys.stdin.read()
     r = Rot3(ctx, parse_matrix_json(text, ctx.p))
     angles = decompose_cardano(r, precision=args.precision)
-    _emit(args, format_angles(angles), {"angles": [format_number(a) for a in angles]})
+    _emit(args, lambda: format_angles(angles), lambda: {"angles": [format_number(a) for a in angles]})
     return 0
 
 
 def _cmd_haar_mass(ctx: PrimeCtx, args) -> int:
     mass = haar.total_mass(ctx, args.group)
-    _emit(args, format_rational(mass), {"mass": format_rational(mass)})
+    _emit(args, lambda: format_rational(mass), lambda: {"mass": format_rational(mass)})
     return 0
 
 
@@ -155,7 +157,7 @@ def _cmd_haar_integrate(ctx: PrimeCtx, args) -> int:
     mass = math.prod(haar.integrate_so2(ctx, d, r) for d, r in zip(ds, regions))
     if args.normalized:
         mass /= haar.total_mass(ctx, args.group)
-    _emit(args, format_rational(mass), {"mass": format_rational(mass)})
+    _emit(args, lambda: format_rational(mass), lambda: {"mass": format_rational(mass)})
     return 0
 
 
@@ -174,14 +176,14 @@ def _cmd_haar_sample(ctx: PrimeCtx, args) -> int:
             if args.matrices:
                 entry["matrix"] = matrix_rows(rot.mat)
             samples.append(entry)
-        _emit(args, None, {"samples": samples})
+        _emit(args, None, lambda: {"samples": samples})
     else:
         lines = []
         for angles, rot in draws:
             lines.append(format_angles(angles))
             if args.matrices:
                 lines.append(format_matrix_json(rot.mat))
-        _emit(args, "\n".join(lines), None)
+        _emit(args, lambda: "\n".join(lines), None)
     return 0
 
 
@@ -194,7 +196,7 @@ def _cmd_verify(ctx: PrimeCtx, args) -> int:
     checks = [
         {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
     ]
-    _emit(args, "\n".join(lines), {"checks": checks})
+    _emit(args, lambda: "\n".join(lines), lambda: {"checks": checks})
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -197,6 +197,12 @@ def conj_action_matrix(x: Quat) -> Mat:
     first scaled to integer coordinates and the nine entries are integers
     over the integer nrd.
     """
+    return Mat.from_numerators(*_conj_action_ints(x))
+
+
+def _conj_action_ints(x: Quat) -> tuple:
+    """(N, n): conj_action_matrix(x) is N / n, with N the nine unreduced
+    integer numerators and n the nrd of x scaled to integer coordinates."""
     ((q0, q1, q2, q3),), _ = clear_denominators((x.coords,))
     v, p = x.ctx.v, x.ctx.p
     s0, s1, s2, s3 = q0 * q0, v * q1 * q1, p * q2 * q2, v * p * q3 * q3
@@ -220,4 +226,4 @@ def conj_action_matrix(x: Quat) -> Mat:
             s0 + s1 - s2 - s3,
         ),
     )
-    return Mat.from_numerators(rows, n)
+    return rows, n

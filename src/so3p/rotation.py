@@ -19,6 +19,7 @@ Conventions fixed here once and used everywhere else:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .padic import (
     unit_residue,
     values_agree,
 )
-from .quaternion import Quat, conj_action_matrix
+from .quaternion import Quat, _conj_action_ints
 
 __all__ = [
     "Angles",
@@ -380,13 +381,14 @@ def quat_to_rotation(x: Quat) -> Rot3:
     Conjugation by x acts on pure quaternions; rewriting that action in
     the coordinates where the preserved form becomes diag(1,-v,p) gives
     the rotation Lambda K Lambda^-1.  Lambda is antidiagonal, so that is a
-    permutation of the integer form of K with integer factors over vp.
-    Proportional quaternions map to the same element.
+    permutation of K's integer numerators (those of conj_action_matrix)
+    with integer factors over vp nrd, reduced once.  Proportional
+    quaternions map to the same element.
     """
     ctx = x.ctx
-    num, den = conj_action_matrix(x).integer_form()
+    num, n = _conj_action_ints(x)
     to_rotation, _ = _lambda_ratios(ctx)
-    return Rot3(ctx, Mat.from_numerators(_antidiagonal_conjugate(num, to_rotation), ctx.v * ctx.p * den))
+    return Rot3(ctx, Mat.from_numerators(_antidiagonal_conjugate(num, to_rotation), ctx.v * ctx.p * n))
 
 
 def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
@@ -394,11 +396,27 @@ def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
 
     Finite triples use the homogeneous quadruple
     [1 - p*a*b*g : (p/v)*b*g - a : b - a*g : g/v - a*b], which is never
-    the zero class.  An infinite coordinate replaces the corresponding
-    factor of (1 - a i)(1 + b j)(1 + (g/v) k) by the bare unit i, j or k.
+    the zero class.  For rationals a = a'/A, b = b'/B and g = g'/G it is
+    the integer quadruple
+    (ABG - p a'b'g', p b'g'A - v a'BG, b'AG - a'g'B, g'AB - v a'b'G)
+    over (ABG, v ABG, ABG, v ABG).  An infinite coordinate replaces the
+    corresponding factor of (1 - a i)(1 + b j)(1 + (g/v) k) by the bare
+    unit i, j or k.
     """
     alpha, beta, gamma = (_as_param(x) for x in angles)
     v, p = ctx.v, ctx.p
+    if type(alpha) is Fraction and type(beta) is Fraction and type(gamma) is Fraction:
+        a, b, g = alpha.numerator, beta.numerator, gamma.numerator
+        da, db, dg = alpha.denominator, beta.denominator, gamma.denominator
+        den = da * db * dg
+        vden = v * den
+        return Quat(
+            ctx,
+            Fraction(den - p * a * b * g, den),
+            Fraction(p * b * g * da - v * a * db * dg, vden),
+            Fraction(b * da * dg - a * g * db, den),
+            Fraction(g * da * db - v * a * b * dg, vden),
+        )
     if not any(isinstance(t, Infinity) for t in (alpha, beta, gamma)):
         return Quat(
             ctx,
@@ -472,7 +490,8 @@ def is_involution(r: Rot3) -> bool:
 
 
 def _canonical_cos(ctx: PrimeCtx, radicand, precision: int):
-    """Square root of 1 - p*s^2 on the branch that is 1 mod p."""
+    """Square root of 1 - p*s^2 on the branch that is 1 mod p, for a capped
+    matrix; its s may still be an exact rational."""
     if isinstance(radicand, Fraction):
         root = rational_sqrt(radicand)
         if root is not None:
@@ -497,6 +516,35 @@ def _pair_param(c, s, exact: bool):
     return s / den
 
 
+def _read_angles(m, c_b, exact: bool) -> Angles:
+    # the triple from the entries m of R and the cosine c_b of beta
+    return Angles(
+        _pair_param(m[0][0] / c_b, m[1][0] / c_b, exact),
+        m[2][0] / (1 + c_b),
+        _pair_param(m[2][2] / c_b, m[2][1] / c_b, exact),
+    )
+
+
+def _int_param(s: int, c: int):
+    # s / c for a block read off integer numerators, INF for c = 0 (-I)
+    return Fraction(s, c) if c else INF
+
+
+def _exact_angles(r: Rot3, precision: int) -> Angles:
+    """decompose_cardano's triple of an exact matrix, from its integer form."""
+    ctx = r.ctx
+    num, den = r.mat.integer_form()
+    (n00, _, _), (n10, _, _), (n20, n21, n22) = num
+    dd = den * den
+    x = dd - ctx.p * n20 * n20
+    if x > 0 and (root := math.isqrt(x)) * root == x:
+        if (root - den) % ctx.p:
+            root = -root
+        # D + r = 2D mod p is a unit, so beta is finite
+        return Angles(_int_param(n10, root + n00), Fraction(n20, den + root), _int_param(n21, root + n22))
+    return _read_angles(r.mat.rows, hensel_sqrt(Fraction(x, dd), ctx, precision), exact=True)
+
+
 def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     """Cardano triple of a rotation, canonical branch.
 
@@ -505,9 +553,15 @@ def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     p-adic integer.  The first column of R is (c_a c_b, s_a c_b, R31) and
     its last row is (R31, c_b s_g, c_b c_g), which give alpha and gamma.
     The other root of 1 - p*R31^2 only names the flipped triple, with
-    beta outside Z_p, so it is never tried.  Rationally constructed
-    rotations resolve exactly; otherwise c_b comes from a Hensel lift at
-    `precision` digits.
+    beta outside Z_p, so it is never tried.
+
+    An exact matrix is read from its integer form R = N / D.  D is prime
+    to p, the entries lying in Z_p.  When x = D^2 - p N31^2 is a square
+    r^2, the sign of r is the one with r/D = 1 mod p, c_b = r/D, and
+    alpha = N21/(r + N11), beta = N31/(D + r) and gamma = N32/(r + N33),
+    a zero denominator giving INF.  Otherwise c_b is the Hensel lift of
+    x / D^2 at `precision` digits, and alpha, beta and gamma are read
+    from the entries as on a capped matrix.
 
     The triple is checked once, by rebuilding its matrix and comparing
     it with R (digitwise at capped precision).  On a capped matrix whose
@@ -516,15 +570,12 @@ def decompose_cardano(r: Rot3, precision: int = 32) -> Angles:
     Any other failed rebuild raises AmbiguityError.
     """
     ctx = r.ctx
-    m = r.mat.rows
-    s_b = m[2][0]
-    c_b = _canonical_cos(ctx, 1 - ctx.p * s_b * s_b, precision)
     exact = r.mat.integer_form() is not None
-    angles = Angles(
-        _pair_param(m[0][0] / c_b, m[1][0] / c_b, exact),
-        s_b / (1 + c_b),
-        _pair_param(m[2][2] / c_b, m[2][1] / c_b, exact),
-    )
+    if exact:
+        angles = _exact_angles(r, precision)
+    else:
+        m = r.mat.rows
+        angles = _read_angles(m, _canonical_cos(ctx, 1 - ctx.p * m[2][0] * m[2][0], precision), exact=False)
     if _cardano_product(ctx, angles).agrees(r.mat):
         return angles
     if not exact and (angles.alpha is INF or angles.gamma is INF):

@@ -162,6 +162,46 @@ class TestComposeDecompose:
         assert code == 3
 
 
+class TestOneRendering:
+    """rotate, compose and decompose build only the rendering --format asks
+    for: with the other renderer made to raise, stdout is unchanged."""
+
+    # the renderer each format leaves unused
+    UNUSED = {
+        ("rotate", "text"): "matrix_rows",
+        ("rotate", "json"): "format_matrix_json",
+        ("compose", "text"): "matrix_rows",
+        ("compose", "json"): "format_matrix_json",
+        ("decompose", "text"): "format_number",
+        ("decompose", "json"): "format_angles",
+    }
+
+    @staticmethod
+    def argv(command):
+        ctx = canonical_units(3)
+        if command == "rotate":
+            return ["rotate", "--prime", "3", "1/3,2,inf"]
+        if command == "compose":
+            a = format_matrix_json(cardano_matrix(ctx, (1, 0, 0)).mat)
+            b = format_matrix_json(quat_to_rotation(Quat(ctx, *map(Fraction, (1, 2, 0, 1)))).mat)
+            return ["compose", "--prime", "3", a, b]
+        # 1 + i + j at p = 3: cos(beta) comes from a Hensel lift
+        m = quat_to_rotation(Quat(ctx, *map(Fraction, (1, 1, 1, 0)))).mat
+        return ["decompose", "--prime", "3", "--precision", "8", format_matrix_json(m)]
+
+    @pytest.mark.parametrize("command, fmt", sorted(UNUSED))
+    def test_unused_renderer_is_never_called(self, capsys, monkeypatch, command, fmt):
+        argv = [*self.argv(command), "--format", fmt]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected
+
+        def unused(*args, **kwargs):
+            raise AssertionError(f"{fmt} output built the other rendering")
+
+        monkeypatch.setattr(cli, self.UNUSED[command, fmt], unused)
+        assert run(capsys, *argv) == (0, expected, "")
+
+
 class TestHaar:
     def test_mass_so3(self, capsys):
         code, out, _ = run(capsys, "haar", "mass", "--group", "so3", "--prime", "3")

@@ -1,12 +1,13 @@
 """SO(2) blocks, the Cardano chart, and the quaternion isomorphism."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from so3p.errors import CertificateError, PrecisionExhausted
+from so3p.errors import AmbiguityError, CertificateError, PrecisionExhausted
 from so3p.formats import parse_matrix_json
 from so3p.linalg import (
     Mat,
@@ -17,7 +18,17 @@ from so3p.linalg import (
     lambda_matrix,
     so2_form,
 )
-from so3p.padic import INF, Infinity, PadicApprox, canonical_units, valuation, values_agree
+from so3p.padic import (
+    INF,
+    Infinity,
+    PadicApprox,
+    canonical_units,
+    hensel_sqrt,
+    rational_sqrt,
+    unit_residue,
+    valuation,
+    values_agree,
+)
 from so3p.quaternion import Quat, conj_action_matrix, quat
 from so3p.rotation import (
     Angles,
@@ -335,6 +346,32 @@ class TestAnglesToQuat:
         x = angles_to_quat(ctx, (a, b, g))
         assert x.q0 == 0 and not x.is_zero
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 4294967311])
+    def test_matches_the_fraction_formula(self, p):
+        # the quadruple as Fraction arithmetic on the triple, the formula the
+        # integer quadruple replaces
+        ctx = canonical_units(p)
+        v = ctx.v
+        rng = random.Random(1613 + p)
+        triples = [(0, 0, 0), (1, 0, 2), Angles(Fraction(1), Fraction(1), Fraction(1, p))]
+        triples += [rand_triple(rng, ctx) for _ in range(60)]
+        for t in triples:
+            a, b, g = map(Fraction, t)
+            want = (1 - p * a * b * g, Fraction(p, v) * b * g - a, b - a * g, g / v - a * b)
+            got = angles_to_quat(ctx, t).coords
+            assert got == want
+            assert all(type(c) is Fraction for c in got)
+
+    def test_capped_triple_pinned(self):
+        ctx = canonical_units(5)
+        t = (
+            PadicApprox(p=5, val=0, mant=1 + 2 * 5 + 3 * 25 + 4 * 125, n=4),
+            Fraction(2, 3),
+            PadicApprox(p=5, val=-1, mant=2 + 4 * 5 + 25, n=3),
+        )
+        got = angles_to_quat(ctx, t).coords
+        assert [(c.p, c.val, c.mant, c.n) for c in got] == [(5, 0, 98, 3), (5, 1, 0, 0), (5, -1, 3, 3), (5, -1, 19, 2)]
+
     def test_grand_consistency(self, ctx):
         rng = random.Random(61 + ctx.p)
         for _ in range(30):
@@ -476,6 +513,86 @@ class TestDecompose:
             hit += any(not isinstance(x, (Fraction, Infinity)) for x in t)
             assert cardano_matrix(ctx, t).mat.agrees(r.mat)
         assert hit > 0
+
+
+def reference_decompose(r, precision):
+    """decompose_cardano's reading of every matrix from its Fraction rows:
+    a Fraction square root of 1 - p R31^2 where there is one, four
+    divisions, and the same rebuild check."""
+    ctx = r.ctx
+    m = r.mat.rows
+    s_b = m[2][0]
+    radicand = 1 - ctx.p * s_b * s_b
+    root = rational_sqrt(radicand) if isinstance(radicand, Fraction) else None
+    if root is not None:
+        c_b = root if unit_residue(root, ctx.p) == 1 else -root
+    else:
+        c_b = hensel_sqrt(radicand, ctx, precision)
+    exact = r.mat.integer_form() is not None
+
+    def pair(c, s):
+        den = 1 + c
+        if den.is_zero if isinstance(den, PadicApprox) else den == 0:
+            if exact and isinstance(c, PadicApprox):
+                raise PrecisionExhausted("no digits")
+            return INF
+        return s / den
+
+    angles = Angles(pair(m[0][0] / c_b, m[1][0] / c_b), s_b / (1 + c_b), pair(m[2][2] / c_b, m[2][1] / c_b))
+    if _cardano_product(ctx, angles).agrees(r.mat):
+        return angles
+    if not exact and (angles.alpha is INF or angles.gamma is INF):
+        raise PrecisionExhausted("no digits")
+    raise AmbiguityError("no rebuild")
+
+
+def decompose_outcome(decompose, r, precision):
+    """The type and value of each angle, (p, val, mant, n) for a capped one,
+    or the type of the exception raised."""
+    try:
+        angles = decompose(r, precision)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return tuple((a.p, a.val, a.mant, a.n) if isinstance(a, PadicApprox) else (type(a), a) for a in angles)
+
+
+class TestDecomposeParity:
+    """decompose_cardano reads an exact matrix from its integer form; the
+    answers are those of the Fraction-row reading, on both paths."""
+
+    @staticmethod
+    def exact_rotations(ctx, rng):
+        for _ in range(25):
+            t = rand_triple(rng, ctx)
+            yield cardano_matrix(ctx, t)
+            yield cardano_matrix(ctx, t._replace(alpha=INF))
+            yield cardano_matrix(ctx, t._replace(gamma=INF))
+            # a quaternion of a triple's rotation, scaled: rational root
+            yield quat_to_rotation(angles_to_quat(ctx, t).scale(rand_rational(rng, ctx.p)))
+            yield quat_to_rotation(rand_quat(rng, ctx))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 4294967311])
+    def test_matches_the_fraction_reading(self, p):
+        ctx = canonical_units(p)
+        rng = random.Random(1601 + p)
+        paths = {"root": 0, "wrong sign": 0, "hensel": 0}
+        for r in self.exact_rotations(ctx, rng):
+            num, den = r.mat.integer_form()
+            x = den * den - p * num[2][0] ** 2
+            if x > 0 and math.isqrt(x) ** 2 == x:
+                paths["root"] += 1
+                # the positive root is the wrong branch: c_b = -isqrt(x)/D
+                paths["wrong sign"] += (math.isqrt(x) - den) % p != 0
+            else:
+                paths["hensel"] += 1
+            for precision in (8, 32):
+                want = decompose_outcome(reference_decompose, r, precision)
+                assert decompose_outcome(decompose_cardano, r, precision) == want
+                capped = capped_copy(r, precision)
+                assert decompose_outcome(decompose_cardano, capped, precision) == decompose_outcome(
+                    reference_decompose, capped, precision
+                )
+        assert all(paths.values()), paths
 
 
 P3_DEEP_SHELL = (
