@@ -611,18 +611,20 @@ def mobius_image(ctx: PrimeCtx, d, alpha0, ball: BallQp) -> RegionQp:
 
 
 class InvarianceReport(NamedTuple):
-    """Comparison of entry residues between a sample batch R and g R.
+    """Pearson tests of the residues of g R, R Haar, against their exact law.
 
-    statistic sums (a-b)^2/(a+b) over the residue categories that enter
-    the test, dof counts the independent squared-difference modes, and
-    buckets counts the categories kept.
+    statistic and dof are Pearson's X^2 and its cells - 1, for the first
+    column and then the last row of g R mod p; pvalue is the Bonferroni
+    combination min(1, 2 min(p_column, p_row)) of their two tails; needed
+    is 10 p^2, the n that puts 5 expected draws in each of the 2 p^2 row
+    cells, below which the chi-square tail is no guide.
     """
 
-    statistic: float
-    dof: int
+    statistic: tuple
+    dof: tuple
     pvalue: float
     n: int
-    buckets: int
+    needed: int
 
 
 def _residues_mod_p(m: Mat, p: int) -> tuple:
@@ -633,114 +635,90 @@ def _residues_mod_p(m: Mat, p: int) -> tuple:
     return tuple(e * inv % p for row in num for e in row)
 
 
-def _residue_product(gbar, cat: tuple, p: int) -> tuple:
-    # Reduction commutes with the product, so translating a category means
-    # multiplying by g's residue matrix in F_p.
-    return tuple(
-        sum(gbar[i][k] * cat[3 * k + j] for k in range(3)) % p
-        for i in range(3)
-        for j in range(3)
-    )
+def _chi2_tail(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with a positive integer dof.
 
-
-def _weighted_chi2_tail(x: float, weights: list) -> float:
-    """P(sum w_k Z_k^2 > x) for independent standard normal Z_k.
-
-    Imhof's inversion integral for a positive quadratic form in normals;
-    exact in the limit, evaluated by quadrature.  A single mode uses the
-    closed normal-tail form instead.
+    With y = x/2 this is the regularized upper gamma Q(dof/2, y), and
+    Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) unrolls it to a finite
+    sum from Q(0, y) = 0 for even dof or Q(1/2, y) = erfc(sqrt y) for odd
+    dof.  Each term is taken in log space, so no power of y overflows.
     """
-    from scipy.integrate import quad  # deferred: only this reporter needs scipy
-
     if x <= 0.0:
         return 1.0
-    if len(weights) == 1:
-        return math.erfc(math.sqrt(x / (2.0 * weights[0])))
+    y = 0.5 * x
+    half = 0.5 * (dof % 2)
+    terms = [math.erfc(math.sqrt(y)) if half else 0.0]
+    for j in range(dof // 2):
+        a = j + half
+        terms.append(math.exp(a * math.log(y) - y - math.lgamma(a + 1)))
+    return min(1.0, math.fsum(terms))
 
-    def phase(u: float) -> float:
-        return 0.5 * sum(math.atan(w * u) for w in weights)
 
-    def envelope(u: float) -> float:
-        return math.exp(-0.25 * sum(math.log1p((w * u) ** 2) for w in weights))
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.5 * (sum(weights) - x)
-        return math.sin(phase(u) - 0.5 * x * u) * envelope(u) / u
-
-    # head covers one oscillation; past it sin(phi - xu/2) splits into
-    # sin(phi)cos(xu/2) - cos(phi)sin(xu/2) with smooth decaying factors,
-    # which the Fourier rule integrates over the slowly dying tail
-    head = 4.0 * math.pi / x
-    val, _ = quad(integrand, 0.0, head, limit=200)
-    vc, _ = quad(
-        lambda u: math.sin(phase(u)) * envelope(u) / u,
-        head, math.inf, weight="cos", wvar=0.5 * x,
-    )
-    vs, _ = quad(
-        lambda u: math.cos(phase(u)) * envelope(u) / u,
-        head, math.inf, weight="sin", wvar=0.5 * x,
-    )
-    return min(1.0, max(0.0, 0.5 + (val + vc - vs) / math.pi))
+def _pearson(counts: dict, cells: int, n: int) -> tuple:
+    """Pearson's X^2 of n draws against equal probabilities on `cells`
+    cells (the empty ones included), and its tail on cells - 1 dof."""
+    stat = (cells * sum(c * c for c in counts.values()) - n * n) / n
+    return stat, _chi2_tail(stat, cells - 1)
 
 
 def invariance_report(g: Rot3, n: int, rng, digits: int = 16) -> InvarianceReport:
-    """Statistical check that left translation by g preserves the measure.
+    """Test that the sampler's draws, left-translated by g, are Haar mod p.
 
-    Draws n Haar rotations R and reduces all nine entries of R and of
-    g R mod p.  Because reduction commutes with the product, the second
-    count vector is the first one relabeled by left multiplication with
-    g's residue matrix, a permutation of categories.  Under invariance
-    the category probabilities are constant along each permutation
-    cycle, and the summed (a-b)^2/(a+b) statistic converges to a sum of
-    chi-square modes weighted by 1 - cos(2 pi k/L) per cycle of length
-    L; the p-value integrates that law's tail.  Fixed categories carry
-    no signal and cycles containing a category with combined count
-    below 10 are too sparse for the normal limit; both are left out.
-    Translation by the identity fixes every category, so it reproduces
-    identical counts, a zero statistic, and p-value one.
+    Rotation entries lie in Z_p, so reduction mod p maps SO(3)_p onto a
+    finite group G_1, and Haar measure pushes forward to the uniform law
+    on G_1, which translation by g keeps.  By orbit-stabiliser, every
+    point of an orbit has one coset of the stabiliser over it, so the
+    first column of g R mod p is uniform on the orbit G_1 e_1 and its last
+    row on e_3^T G_1.  With Q = diag(1, -v, p) those orbits are
+
+        C = {x : x_0^2 - v x_1^2 = 1, x_2 free}, p(p+1) cells,
+        W = {x : x_2 = +-1, x_0 and x_1 free}, 2 p^2 cells.
+
+    Into: R^T Q R = Q reduces, at entry (1, 1), to x_0^2 - v x_1^2 = 1 for
+    the column x, and R (p Q^-1) R^T = p Q^-1 = diag(p, -p/v, 1) reduces,
+    at entry (3, 3), to x_2^2 = 1 for the row x.  Onto: mod p the z block
+    of alpha in Z_p or inf runs over the whole conic (c, s) (its Cayley
+    parametrisation, inverse alpha = s/(1 + c)), R_y(beta) for beta in
+    Z_p is the shear e_1 -> e_1 + 2 beta e_3, R_x(gamma) for gamma in Z_p
+    is the shear e_2 -> e_2 + 2 gamma e_3, and R_y(inf) is -1 on e_1 and
+    e_3.  So R_z(alpha) R_y(beta) e_1 = (c, s, 2 beta) reaches all of C,
+    and e_3^T R_y(inf)^k R_y(beta) R_x(gamma) = +-(2 beta, 2 gamma, 1) all
+    of W.  The column is the reading of alpha and beta, the row that of
+    beta and gamma.
+
+    The report draws n rotations as sample_so3 does, takes g R mod p as
+    (g mod p)(R mod p), and counts the column over C and the row over W.
+    Against equal cell probabilities Pearson's statistic has cells - 1
+    dof, so the identity translation is tested like any other.  It is
+    blind to a permutation of the cells, and g mod p permutes C, so the
+    column reads the same for every g; the row e_3^T g R mixes the rows
+    of R and is a different reading for each g.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     ctx = g.ctx
     p = ctx.p
-    counts_a: dict = {}
-    counts_b: dict = {}
     flat = _residues_mod_p(g.mat, p)
     gbar = (flat[0:3], flat[3:6], flat[6:9])
+    cols: dict = {}
+    rows: dict = {}
     # sample_so3's draws, with digits and the axis d checked once
     _check_digits(digits)
     es = _axis_valuations(ctx)
     for _ in range(n):
         _, r = _draw_so3(ctx, rng, digits, es)
-        ka = _residues_mod_p(r.mat, p)
-        # reduce first, multiply in F_p: same residues as reducing g r
-        kb = _residue_product(gbar, ka, p)
-        counts_a[ka] = counts_a.get(ka, 0) + 1
-        counts_b[kb] = counts_b.get(kb, 0) + 1
-    statistic = Fraction(0)
-    weights: list = []
-    kept = 0
-    seen: set = set()
-    for start in sorted(set(counts_a) | set(counts_b)):
-        if start in seen:
-            continue
-        cycle = [start]
-        cur = _residue_product(gbar, start, p)
-        while cur != start:
-            cycle.append(cur)
-            cur = _residue_product(gbar, cur, p)
-        seen.update(cycle)
-        if len(cycle) == 1:
-            continue
-        tallies = [(counts_a.get(c, 0), counts_b.get(c, 0)) for c in cycle]
-        if any(ca + cb < 10 for ca, cb in tallies):
-            continue
-        kept += len(cycle)
-        statistic += sum(Fraction((ca - cb) ** 2, ca + cb) for ca, cb in tallies)
-        length = len(cycle)
-        weights.extend(
-            1.0 - math.cos(2.0 * math.pi * k / length) for k in range(1, length)
-        )
-    stat = float(statistic)
-    dof = len(weights)
-    pvalue = 1.0 if dof == 0 else _weighted_chi2_tail(stat, weights)
-    return InvarianceReport(statistic=stat, dof=dof, pvalue=pvalue, n=n, buckets=kept)
+        x = _residues_mod_p(r.mat, p)
+        col = tuple((a * x[0] + b * x[3] + c * x[6]) % p for a, b, c in gbar)
+        a, b, c = gbar[2]
+        row = tuple((a * x[j] + b * x[3 + j] + c * x[6 + j]) % p for j in range(3))
+        cols[col] = cols.get(col, 0) + 1
+        rows[row] = rows.get(row, 0) + 1
+    cells = (p * (p + 1), 2 * p * p)
+    (stat_c, tail_c), (stat_r, tail_r) = _pearson(cols, cells[0], n), _pearson(rows, cells[1], n)
+    return InvarianceReport(
+        statistic=(stat_c, stat_r),
+        dof=(cells[0] - 1, cells[1] - 1),
+        pvalue=min(1.0, 2.0 * min(tail_c, tail_r)),
+        n=n,
+        needed=5 * cells[1],
+    )

@@ -425,13 +425,12 @@ def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
             beta - alpha * gamma,
             gamma / v - alpha * beta,
         )
-    one = Quat(ctx, Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    i = Quat(ctx, Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    j = Quat(ctx, Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-    kq = Quat(ctx, Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    f1 = i if isinstance(alpha, Infinity) else one - i.scale(alpha)
-    f2 = j if isinstance(beta, Infinity) else one + j.scale(beta)
-    f3 = kq if isinstance(gamma, Infinity) else one + kq.scale(Fraction(gamma, v))
+    # the factors are built from their coordinates, so a capped angle
+    # beside an infinite one stays a PadicApprox
+    o, z = Fraction(1), Fraction(0)
+    f1 = Quat(ctx, z, o, z, z) if isinstance(alpha, Infinity) else Quat(ctx, o, -alpha, z, z)
+    f2 = Quat(ctx, z, z, o, z) if isinstance(beta, Infinity) else Quat(ctx, o, z, beta, z)
+    f3 = Quat(ctx, z, z, z, o) if isinstance(gamma, Infinity) else Quat(ctx, o, z, z, gamma / v)
     return f1 * f2 * f3
 
 

@@ -1,5 +1,7 @@
 """Measure tests: subdivision and dual-number oracles, frozen exact masses."""
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,7 +32,9 @@ from so3p.haar import (
 )
 from so3p.padic import INF, abs_p, canonical_units, valuation
 from so3p.quaternion import quat
-from so3p.rotation import Angles, Rot3, cardano_matrix, identity_rotation, quat_to_rotation, so2_compose
+from so3p.rotation import (
+    Angles, Rot3, axis_rotation, cardano_matrix, identity_rotation, quat_to_rotation, so2_compose,
+)
 
 from conftest import Dual, rand_rational, rand_unit
 
@@ -697,14 +701,21 @@ class TestMobius:
                 assert acc == F(p) ** (-image.k)
 
 
+def residue_matrix(r, p):
+    flat = haar._residues_mod_p(r.mat, p)
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
 class TestInvariance:
     def test_identity_translation(self, ctx):
-        report = invariance_report(identity_rotation(ctx), 300, random.Random(81), digits=4)
-        assert report.statistic == 0.0
-        assert report.pvalue == 1.0
-        assert report.n == 300
-        # every category is fixed by the identity, so nothing enters
-        assert report.dof == 0 and report.buckets == 0
+        # the identity is tested like any translation: a column over
+        # p(p+1) cells and a row over 2p^2 cells, each on cells - 1 dof
+        p = ctx.p
+        report = invariance_report(identity_rotation(ctx), 10 * p * p, random.Random(81), digits=4)
+        assert report.dof == (p * (p + 1) - 1, 2 * p * p - 1)
+        assert report.n == report.needed == 10 * p * p
+        assert all(x > 0 for x in report.statistic)
+        assert 1e-3 < report.pvalue <= 1.0
 
     def test_deterministic(self):
         ctx = canonical_units(3)
@@ -714,14 +725,12 @@ class TestInvariance:
         assert a == b
 
     def test_fixed_seed_report_and_stream(self):
-        # recorded when the report drew through sample_so3; it draws in
-        # batch now, and must consume the generator exactly as before
+        # the report must consume the generator exactly as sample_so3 does
         ctx = canonical_units(3)
         g = cardano_matrix(ctx, Angles(F(1), F(0), F(0)))
         rng = random.Random(82)
         report = invariance_report(g, 1500, rng, digits=4)
-        assert (report.statistic, report.dof, report.n, report.buckets) == (69.47159260240001, 54, 1500, 72)
-        assert report.pvalue == pytest.approx(0.5395537850525789, rel=1e-9)
+        assert report == ((5.664, 11.904), (11, 17), 1.0, 1500, 90)
         ref = random.Random(82)
         for _ in range(1500):
             sample_so3(ctx, ref, 4)
@@ -739,51 +748,110 @@ class TestInvariance:
         report = invariance_report(g, 2000, random.Random(84), digits=8)
         assert report.pvalue > 1e-3
 
-    def test_reduction_commutes_with_product(self):
-        # the relabeling lemma the report's null distribution rests on
-        from so3p.haar import _residue_product, _residues_mod_p
+    def test_no_draws_rejected(self, ctx):
+        with pytest.raises(ValueError):
+            invariance_report(identity_rotation(ctx), 0, random.Random(85))
 
+    def test_reduction_commutes_with_product(self):
+        # the report reads g R mod p as (g mod p)(R mod p)
         for p in (3, 7):
             ctx = canonical_units(p)
             g = cardano_matrix(ctx, Angles(F(1), F(1), F(1)))
-            gbar = tuple(
-                tuple(e.numerator * pow(e.denominator, -1, p) % p for e in row)
-                for row in g.mat.rows
-            )
+            gbar = residue_matrix(g, p)
             rng = random.Random(19 + p)
             for _ in range(25):
                 _, r = sample_so3(ctx, rng, digits=6)
-                direct = _residues_mod_p((g * r).mat, p)
-                relabeled = _residue_product(gbar, _residues_mod_p(r.mat, p), p)
-                assert direct == relabeled
+                rbar = residue_matrix(r, p)
+                product = tuple(
+                    tuple(sum(gbar[i][k] * rbar[k][j] for k in range(3)) % p for j in range(3))
+                    for i in range(3)
+                )
+                assert residue_matrix(g * r, p) == product
 
-    def test_weighted_tail_matches_chi2_for_unit_weights(self):
-        import warnings
 
-        from scipy.stats import chi2
+class TestResidueOrbits:
+    """The two exact laws the invariance report tests against: the first
+    column of a rotation mod p is uniform on C = {x0^2 - v x1^2 = 1}, the
+    last row on W = {x2 = +-1}, because each is one orbit of SO(3)_p mod p."""
 
-        from so3p.haar import _weighted_chi2_tail
+    @staticmethod
+    def orbit_sets(ctx):
+        p, v = ctx.p, ctx.v
+        cube = list(itertools.product(range(p), repeat=3))
+        column = {x for x in cube if (x[0] ** 2 - v * x[1] ** 2 - 1) % p == 0}
+        row = {x for x in cube if x[2] in (1, p - 1)}
+        return column, row
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # quadrature must converge quietly
-            for dof, x in [(1, 0.5), (4, 3.0), (12, 20.0), (60, 45.0)]:
-                got = _weighted_chi2_tail(x, [1.0] * dof)
-                assert abs(got - chi2.sf(x, dof)) < 1e-6
+    @staticmethod
+    def closure(start, gens, act):
+        seen, todo = {start}, [start]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
 
-    def test_weighted_tail_scales(self):
-        import warnings
+    def test_orbits_are_the_sets(self, ctx):
+        # onto, and into for the group the generators make: the closure of
+        # e1 under the certified axis rotations at alpha in F_p and inf is
+        # exactly C, and that of e3^T acting on the right exactly W
+        p = ctx.p
+        column, row = self.orbit_sets(ctx)
+        assert (len(column), len(row)) == (p * (p + 1), 2 * p * p)
+        gens = [
+            residue_matrix(axis_rotation(ctx, axis, t), p)
+            for axis in ctx.AXES
+            for t in [*map(F, range(p)), INF]
+        ]
 
-        from scipy.stats import chi2
+        def left(g, x):
+            return tuple(sum(g[i][k] * x[k] for k in range(3)) % p for i in range(3))
 
-        from so3p.haar import _weighted_chi2_tail
+        def right(g, x):
+            return tuple(sum(x[k] * g[k][j] for k in range(3)) % p for j in range(3))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # doubled modes: P(2 X > x) with X chi-square
-            got = _weighted_chi2_tail(10.0, [2.0] * 3)
-            assert abs(got - chi2.sf(5.0, 3)) < 1e-6
+        assert self.closure((1, 0, 0), gens, left) == column
+        assert self.closure((0, 0, 1), gens, right) == row
 
-    def test_weighted_tail_degenerate_statistic(self):
-        from so3p.haar import _weighted_chi2_tail
+    def test_sampled_rotations_stay_in_the_sets(self, ctx):
+        # into, from the preserved form, on draws with non-integral angles
+        column, row = self.orbit_sets(ctx)
+        for _, r in sample_so3_batch(ctx, 29, 200, digits=6):
+            rbar = residue_matrix(r, ctx.p)
+            assert tuple(rbar[i][0] for i in range(3)) in column
+            assert rbar[2] in row
 
-        assert _weighted_chi2_tail(0.0, [1.0, 2.0]) == 1.0
+
+class TestChi2Tail:
+    def test_one_dof_is_the_normal_tail(self):
+        for x in (1e-6, 0.3, 1.0, 4.0, 30.0, 700.0):
+            assert haar._chi2_tail(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-13)
+
+    def test_two_dof_is_exponential(self):
+        for x in (1e-6, 0.3, 1.0, 4.0, 30.0, 700.0):
+            assert haar._chi2_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-13)
+
+    def test_reference_values(self):
+        # scipy.stats.chi2.sf(x, dof), scipy 1.17.1
+        for x, dof, want in [
+            (3.0, 5, 0.6999858358786276),
+            (12.5, 4, 0.013995792487650894),
+            (50.0, 30, 0.01240206071890054),
+            (200.0, 181, 0.15855309537714055),
+            (400.0, 337, 0.01029637870335383),
+        ]:
+            assert haar._chi2_tail(x, dof) == pytest.approx(want, rel=1e-10)
+
+    def test_large_dof_stays_finite(self):
+        # a naive power series overflows here: y^j alone is inf
+        for dof in (1921, 1922, 20000):
+            for x in (1.0, dof / 2, dof, dof + 10 * math.sqrt(dof), 3 * dof):
+                tail = haar._chi2_tail(float(x), dof)
+                assert 0.0 <= tail <= 1.0
+            assert haar._chi2_tail(float(dof), dof) == pytest.approx(0.5, abs=0.01)
+
+    def test_degenerate_statistic(self):
+        assert haar._chi2_tail(0.0, 7) == 1.0

@@ -372,6 +372,21 @@ class TestAnglesToQuat:
         got = angles_to_quat(ctx, t).coords
         assert [(c.p, c.val, c.mant, c.n) for c in got] == [(5, 0, 98, 3), (5, 1, 0, 0), (5, -1, 3, 3), (5, -1, 19, 2)]
 
+    def test_capped_triple_with_an_infinite_slot(self):
+        # the factored product once coerced every factor to Fraction and
+        # raised TypeError here
+        ctx = canonical_units(5)
+        capped = PadicApprox(p=5, val=0, mant=7, n=3)
+        for slot in range(3):
+            for other in (Fraction(0), Fraction(2, 3), capped):
+                t = [other] * 3
+                t[slot], t[(slot + 1) % 3] = INF, capped
+                exact = [7 if x is capped else x for x in t]
+                got = angles_to_quat(ctx, t).coords
+                want = angles_to_quat(ctx, exact).coords
+                assert any(isinstance(c, PadicApprox) for c in got)
+                assert all(c == w if type(c) is Fraction else c.congruent(w) for c, w in zip(got, want))
+
     def test_grand_consistency(self, ctx):
         rng = random.Random(61 + ctx.p)
         for _ in range(30):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from so3p import cli
 from so3p.padic import canonical_units
 from so3p.verify import (
     SUITE_NAMES,
@@ -17,11 +18,27 @@ from so3p.verify import (
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_all_suites_pass_small(p):
+    # the exact suites on 15 draws; invariance on its default 2000, as
+    # below 10 p^2 draws it fails as inconclusive
     ctx = canonical_units(p)
-    results = run_suites(ctx, SUITE_NAMES, samples=15, seed=2)
-    assert results
+    exact = [name for name in SUITE_NAMES if name != "invariance"]
+    results = run_suites(ctx, exact, samples=15, seed=2) + run_suites(ctx, ["invariance"], seed=2)
+    assert sum(r.name.startswith("sampler invariance") for r in results) == 3
     failed = [r for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_invariance_below_the_draw_floor_is_inconclusive(capsys):
+    ctx = canonical_units(3)
+    results = run_suites(ctx, ["invariance"], samples=15)
+    assert len(results) == 3
+    for r in results:
+        assert not r.passed
+        assert r.detail == "inconclusive: n = 15, needs at least 90 draws"
+    code = cli.main(["verify", "--prime", "3", "--suite", "invariance", "--samples", "15"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("FAIL") == 3 and "inconclusive" in out
 
 
 def test_names_are_unique():
