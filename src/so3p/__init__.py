@@ -47,7 +47,6 @@ from .padic import (
     canonical_units,
     hensel_sqrt,
     is_prime,
-    is_square,
     square_class,
     valuation,
 )
@@ -56,16 +55,11 @@ from .rotation import (
     Angles,
     Rot3,
     angles_to_quat,
-    axis_rotation,
     cardano_matrix,
     decompose_cardano,
-    identity_rotation,
-    is_involution,
     quat_to_rotation,
     rotation_to_quat,
     so2_compose,
-    so2_make,
-    so2_param,
 )
 from .verify import CheckResult, run_suites
 
@@ -97,7 +91,6 @@ __all__ = [
     "aplus",
     "aprime",
     "axis_integral",
-    "axis_rotation",
     "canonical_units",
     "cardano_matrix",
     "complement_region",
@@ -105,14 +98,11 @@ __all__ = [
     "decompose_cardano",
     "hensel_sqrt",
     "hquat_density",
-    "identity_rotation",
     "integrate_so2",
     "integrate_so3",
     "invariance_report",
-    "is_involution",
     "is_prime",
     "is_special_isometry",
-    "is_square",
     "jacobian_matrix",
     "jacobian_weight",
     "left_regular",
@@ -126,8 +116,6 @@ __all__ = [
     "sample_so3_batch",
     "so2_compose",
     "so2_density",
-    "so2_make",
-    "so2_param",
     "so3_density",
     "square_class",
     "total_mass",

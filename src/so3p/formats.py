@@ -32,7 +32,6 @@ __all__ = [
     "format_angles",
     "format_matrix_json",
     "format_number",
-    "format_quat",
     "format_region",
     "matrix_from_obj",
     "matrix_rows",
@@ -186,14 +185,6 @@ def parse_quat(text: str, ctx: PrimeCtx) -> Quat:
     if not seen:
         raise ValueError("empty quaternion literal")
     return Quat(ctx, coeffs[""], coeffs["i"], coeffs["j"], coeffs["k"])
-
-
-def format_quat(x: Quat) -> str:
-    q0, q1, q2, q3 = x.coords
-    return (
-        f"{format_rational(q0)} + {format_rational(q1)} i"
-        f" + {format_rational(q2)} j + {format_rational(q3)} k"
-    )
 
 
 def parse_region(text: str, p: int) -> RegionQp:

@@ -413,10 +413,10 @@ def jacobian_weight(ctx: PrimeCtx, angles) -> JacobianReport:
     """Check the change-of-variables weight four independent ways.
 
     `direct` evaluates the nine Jacobian entries and takes |det|_p;
-    `closed` is the factored determinant; `quotient` divides by the squared
-    quaternion-norm weight at the chart point; `weight` is the factorized
-    angle density.  All four agree on the chart domain: direct equals
-    closed, and quotient equals weight.
+    `closed` is the factored determinant; `quotient` multiplies it by the
+    Haar density of H_p^x (hquat_density) at the chart point's quaternion;
+    `weight` is the factorized angle density.  All four agree on the chart
+    domain: direct equals closed, and quotient equals weight.
     """
     a, b, g = _finite_triple(angles)
     p, v = ctx.p, ctx.v
@@ -429,8 +429,7 @@ def jacobian_weight(ctx: PrimeCtx, angles) -> JacobianReport:
     x1 = (Fraction(p, v) * b * g - a) / (1 - p * a * b * g)
     x2 = (b - a * g) / (1 - p * a * b * g)
     x3 = (g / v - a * b) / (1 - p * a * b * g)
-    nrd = Quat(ctx, Fraction(1), x1, x2, x3).nrd()
-    quotient = direct / abs_p(nrd, p) ** 2
+    quotient = direct * hquat_density(Quat(ctx, Fraction(1), x1, x2, x3))
     weight = so3_density(ctx, Angles(a, b, g))
     return JacobianReport(direct=direct, closed=closed, quotient=quotient, weight=weight)
 
@@ -616,8 +615,7 @@ class InvarianceReport(NamedTuple):
     statistic and dof are Pearson's X^2 and its cells - 1, for the first
     column and then the last row of g R mod p; pvalue is the Bonferroni
     combination min(1, 2 min(p_column, p_row)) of their two tails; needed
-    is 10 p^2, the n that puts 5 expected draws in each of the 2 p^2 row
-    cells, below which the chi-square tail is no guide.
+    is _draws_needed(p).
     """
 
     statistic: tuple
@@ -625,6 +623,12 @@ class InvarianceReport(NamedTuple):
     pvalue: float
     n: int
     needed: int
+
+
+def _draws_needed(p: int) -> int:
+    # 10 p^2 puts 5 expected draws in each of the 2 p^2 row cells of
+    # invariance_report; below it the chi-square tail is no guide
+    return 10 * p * p
 
 
 def _residues_mod_p(m: Mat, p: int) -> tuple:
@@ -720,5 +724,5 @@ def invariance_report(g: Rot3, n: int, rng, digits: int = 16) -> InvarianceRepor
         dof=(cells[0] - 1, cells[1] - 1),
         pvalue=min(1.0, 2.0 * min(tail_c, tail_r)),
         n=n,
-        needed=5 * cells[1],
+        needed=_draws_needed(p),
     )

@@ -1,9 +1,10 @@
 """Small exact matrices, diagonal quadratic forms, and Q_p(sqrt(v)) scalars.
 
-Everything here is dimension 2 to 4 and entry-generic: entries may be
+Matrices here are 2x2 (SO(2) blocks, the quaternions' left-regular model)
+or 3x3 (rotations and the chart Jacobian) and entry-generic: entries may be
 `Fraction`, :class:`~so3p.padic.PadicApprox`, or :class:`QExtElem`, anything
-supporting ring arithmetic.  Determinants use Laplace expansion, which is
-exact and cheap at these sizes.
+supporting ring arithmetic.  Determinants are written out for those two
+sizes, which is exact and cheap.
 
 When every entry is a `Fraction`, products and the isometry certificate
 clear the matrix to integer numerators over one common denominator and
@@ -27,7 +28,6 @@ __all__ = [
     "QExtElem",
     "QuadForm",
     "aplus",
-    "aplus4",
     "aprime",
     "clear_denominators",
     "int_matmul",
@@ -143,19 +143,8 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(tuple(zip(*self.rows)))
 
-    def trace(self):
-        t = self.rows[0][0]
-        for i in range(1, self.n):
-            t = t + self.rows[i][i]
-        return t
-
     def det(self):
         return _det(self.rows)
-
-    def apply(self, vec) -> tuple:
-        vec = tuple(vec)
-        n = self.n
-        return tuple(sum((self.rows[i][k] * vec[k] for k in range(1, n)), self.rows[i][0] * vec[0]) for i in range(n))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -207,25 +196,13 @@ def int_matmul(a, b) -> list:
 
 
 def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
+    """Determinant of a 2x2 or 3x3 matrix given as rows."""
+    if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        # The expansion below for n = 3, unrolled: the same products, signs
-        # and sums in the same order, so capped-precision entries lose
-        # exactly the digits they lose there.
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
-    total = None
-    for j in range(n):
-        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
-        term = rows[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    # Laplace expansion along the first row, in this order of products,
+    # signs and sums: capped-precision entries lose digits by it.
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -248,15 +225,6 @@ class QuadForm:
         every entry is a Fraction."""
         return clear_denominators((self.diag,))[0][0] if _all_fractions((self.diag,)) else None
 
-    def eval(self, vec):
-        vec = tuple(vec)
-        if len(vec) != self.dim:
-            raise ValueError(f"{self.name} expects {self.dim} coordinates")
-        acc = self.diag[0] * vec[0] * vec[0]
-        for d, x in zip(self.diag[1:], vec[1:]):
-            acc = acc + d * x * x
-        return acc
-
 
 @lru_cache(maxsize=None)
 def _catalog_forms(ctx: PrimeCtx) -> dict:
@@ -273,13 +241,6 @@ def so2_form(ctx: PrimeCtx, d: Fraction) -> QuadForm:
 @lru_cache(maxsize=None)
 def aplus(ctx: PrimeCtx) -> QuadForm:
     return QuadForm(name="A+", diag=(Fraction(1), Fraction(-ctx.v), Fraction(ctx.p)))
-
-
-def aplus4(ctx: PrimeCtx) -> QuadForm:
-    return QuadForm(
-        name="A+4",
-        diag=(Fraction(1), Fraction(-ctx.v), Fraction(ctx.p), Fraction(-ctx.v * ctx.p)),
-    )
 
 
 def aprime(ctx: PrimeCtx) -> QuadForm:
@@ -413,9 +374,6 @@ class QExtElem:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
         return QExtElem(
@@ -425,21 +383,6 @@ class QExtElem:
         )
 
     __rmul__ = __mul__
-
-    def conj(self) -> "QExtElem":
-        return QExtElem(self.a, -self.b, self.v)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.v * self.b * self.b
-
-    def inverse(self) -> "QExtElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return QExtElem(self.a / n, -self.b / n, self.v)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.v}))"

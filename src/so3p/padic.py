@@ -36,10 +36,8 @@ __all__ = [
     "abs_p",
     "canonical_units",
     "hensel_sqrt",
-    "is_square",
     "rational_sqrt",
     "square_class",
-    "to_approx",
     "unit_residue",
     "valuation",
     "values_agree",
@@ -280,10 +278,6 @@ def square_class(x, ctx: PrimeCtx) -> SquareClass:
     return _BITS_CLASS[(int(nonsquare_unit), v % 2)]
 
 
-def is_square(x, ctx: PrimeCtx) -> bool:
-    return square_class(x, ctx) is SquareClass.ONE
-
-
 @lru_cache(maxsize=1024)
 def _ppow(p: int, n: int) -> int:
     """p**n, from one cache: the moduli of PadicApprox arithmetic recur."""
@@ -498,15 +492,6 @@ class PadicApprox:
         coerced = self._coerce(other)
         return coerced / self
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = PadicApprox.from_rational(1, self.p, self.n if self.n else 1)
-        base = self
-        for _ in range(k):
-            out = out * base
-        return out
-
     def congruent(self, other) -> bool:
         """True when the two values agree on all overlapping known digits.
 
@@ -562,11 +547,6 @@ def _exact_approx(num: int, den: int, p: int, n: int | None = None, known=math.i
     mod = _ppow(p, n)
     mant = num % mod if den == 1 else num * pow(den, -1, mod) % mod
     return PadicApprox(p, v, mant, n)
-
-
-def to_approx(x, ctx: PrimeCtx, n: int) -> PadicApprox:
-    """Truncate an exact rational to n significant p-adic digits."""
-    return PadicApprox.from_rational(x, ctx.p, n)
 
 
 def rational_sqrt(x) -> Fraction | None:

@@ -202,8 +202,13 @@ def conj_action_matrix(x: Quat) -> Mat:
 
 def _conj_action_ints(x: Quat) -> tuple:
     """(N, n): conj_action_matrix(x) is N / n, with N the nine unreduced
-    integer numerators and n the nrd of x scaled to integer coordinates."""
-    ((q0, q1, q2, q3),), _ = clear_denominators((x.coords,))
+    integer numerators and n the nrd of x scaled to integer coordinates.
+
+    Capped-precision coordinates have no integer form: ValueError."""
+    try:
+        ((q0, q1, q2, q3),), _ = clear_denominators((x.coords,))
+    except AttributeError:  # a coordinate with no numerator or denominator
+        raise ValueError("the conjugation action needs exact (rational) quaternion coordinates") from None
     v, p = x.ctx.v, x.ctx.p
     s0, s1, s2, s3 = q0 * q0, v * q1 * q1, p * q2 * q2, v * p * q3 * q3
     n = s0 - s1 + s2 - s3

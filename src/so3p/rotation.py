@@ -1,13 +1,15 @@
-r"""Rotation groups over Q_p: SO(2) blocks, the Cardano chart, quaternions.
+r"""Rotation groups over Q_p: the Cardano chart, quaternions, certificates.
 
 Conventions fixed here once and used everywhere else:
 
-* An SO(2)_{p,d} element is [[c, -d*s], [s, c]] with c = (1-d*a^2)/(1+d*a^2)
-  and s = 2a/(1+d*a^2); the parameter a = infinity names -I.  All catalog d
-  are positive rationals (v < 0 always), so 1 + d*a^2 never vanishes over Q.
+* The SO(2)_{p,d} block of parameter a is [[c, -d*s], [s, c]] with
+  c = (1-d*a^2)/(1+d*a^2) and s = 2a/(1+d*a^2); the parameter a = infinity
+  names -I.  All catalog d are positive rationals (v < 0 always), so
+  1 + d*a^2 never vanishes over Q.
 * The reference axes carry d_z = -v, d_y = p, d_x = -p/v and embed into
   rows/columns (0,1), (0,2), (1,2) of the 3x3 identity.  A Cardano triple
-  (alpha, beta, gamma) names R_z(alpha) R_y(beta) R_x(gamma).
+  (alpha, beta, gamma) names R_z(alpha) R_y(beta) R_x(gamma); the chart
+  builds the three blocks only inside that product.
 * SO(3)_p is the special isometry group of diag(1, -v, p); every Rot3
   certifies membership on construction.
 * A rotation in the Cardano chart generically has exactly two triples:
@@ -43,28 +45,19 @@ from .padic import (
     hensel_sqrt,
     rational_sqrt,
     unit_residue,
-    values_agree,
 )
 from .quaternion import Quat, _conj_action_ints
 
 __all__ = [
     "Angles",
     "Rot3",
-    "So2Elem",
     "angles_to_quat",
-    "axis_rotation",
     "cardano_matrix",
-    "identity_rotation",
     "decompose_cardano",
-    "is_involution",
     "quat_to_rotation",
     "rotation_to_quat",
     "so2_compose",
-    "so2_make",
-    "so2_param",
 ]
-
-AXIS_SLOTS = {"z": (0, 1), "y": (0, 2), "x": (1, 2)}
 
 
 class Angles(NamedTuple):
@@ -88,14 +81,6 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-@dataclass(frozen=True)
-class So2Elem:
-    ctx: PrimeCtx
-    d: Fraction
-    param: object
-    mat: Mat
-
-
 def _so2_entries(d: Fraction, alpha) -> tuple:
     """(c, b, s) of R_d(alpha) = [[c, b], [s, c]] for a finite alpha:
     c = (1 - d a^2)/(1 + d a^2), s = 2a/(1 + d a^2) and b = -d s.
@@ -111,19 +96,6 @@ def _so2_entries(d: Fraction, alpha) -> tuple:
     c = (1 - da2) / den
     s = 2 * alpha / den
     return c, -d * s, s
-
-
-def so2_make(ctx: PrimeCtx, d, alpha) -> So2Elem:
-    """Build the SO(2)_{p,d} element of parameter alpha (INF gives -I)."""
-    so2_form(ctx, d)
-    d = Fraction(d)
-    alpha = _as_param(alpha)
-    if isinstance(alpha, Infinity):
-        m = Mat.identity(2).scale(Fraction(-1))
-    else:
-        c, b, s = _so2_entries(d, alpha)
-        m = Mat(((c, b), (s, c)))
-    return So2Elem(ctx, d, alpha, m)
 
 
 def so2_compose(ctx: PrimeCtx, d, a, b):
@@ -146,17 +118,6 @@ def so2_compose(ctx: PrimeCtx, d, a, b):
     if _is_zero(den):
         return INF
     return (a + b) / den
-
-
-def so2_param(m: Mat, ctx: PrimeCtx, d):
-    """Parameter of a certified SO(2)_{p,d} matrix; -I maps to INF."""
-    form = so2_form(ctx, d)
-    if not is_special_isometry(m, form):
-        raise CertificateError(f"not an SO(2) element for d={d}")
-    c, s = m.rows[0][0], m.rows[1][0]
-    if _is_zero(1 + c):
-        return INF
-    return s / (1 + c)
 
 
 @dataclass(frozen=True)
@@ -189,13 +150,6 @@ class Rot3:
         rows = [[_times(m[j][i], g[j] / g[i]) for j in range(3)] for i in range(3)]
         return Rot3(self.ctx, Mat(rows))
 
-    def trace(self):
-        return self.mat.trace()
-
-
-def identity_rotation(ctx: PrimeCtx) -> Rot3:
-    return Rot3(ctx, Mat.identity(3))
-
 
 def _block_ints(d: Fraction, t) -> tuple:
     """R_d(t) for a rational or infinite t as four integers (c, b, s, den):
@@ -212,37 +166,10 @@ def _block_ints(d: Fraction, t) -> tuple:
     return a - b, -s * dn, s * dd, a + b
 
 
-def _axis_block(ctx: PrimeCtx, axis: str, t) -> tuple:
-    """R_d(t) about a reference axis, embedded at the axis's slots of the
-    3x3 identity, as (rows, den) with rows / den the matrix.
-
-    A rational or infinite t gives the integer block of _block_ints; a
-    capped-precision t gives so2_make's entries and den None.  Only
-    axis_rotation builds these 3x3 rows.
-    """
-    d, t = ctx.axis_d(axis), _as_param(t)
-    if isinstance(t, PadicApprox):
-        block, den = so2_make(ctx, d, t).mat.rows, None
-    else:
-        c, b, s, den = _block_ints(d, t)
-        block = ((c, b), (s, c))
-    one, zero = (Fraction(1), Fraction(0)) if den is None else (den, 0)
-    rows = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    slots = AXIS_SLOTS[axis]
-    for bi, mi in enumerate(slots):
-        for bj, mj in enumerate(slots):
-            rows[mi][mj] = block[bi][bj]
-    return rows, den
-
-
-def _block_mat(rows, den) -> Mat:
-    return Mat(rows) if den is None else Mat.from_numerators(rows, den)
-
-
 def _block_entries(ctx: PrimeCtx, axis: str, t) -> tuple:
-    """R_d(t) = [[c, b], [s, c]] about a reference axis as (c, b, s), the
-    entries of _axis_block's matrix: Fractions for a rational or infinite
-    t, _so2_entries' for a capped-precision t."""
+    """R_d(t) = [[c, b], [s, c]] about a reference axis as (c, b, s):
+    Fractions for a rational or infinite t, _so2_entries' for a
+    capped-precision t."""
     d = ctx.axis_d(axis)
     if isinstance(t, PadicApprox):
         return _so2_entries(d, t)
@@ -349,11 +276,6 @@ def _cardano_product(ctx: PrimeCtx, angles) -> Mat:
 def cardano_matrix(ctx: PrimeCtx, angles) -> Rot3:
     """R_z(alpha) R_y(beta) R_x(gamma) as a certified rotation."""
     return Rot3(ctx, _cardano_product(ctx, angles))
-
-
-def axis_rotation(ctx: PrimeCtx, axis: str, param) -> Rot3:
-    """Rotation about one reference axis: z, y or x."""
-    return Rot3(ctx, _block_mat(*_axis_block(ctx, axis, param)))
 
 
 @lru_cache(maxsize=None)
@@ -481,11 +403,6 @@ def rotation_to_quat(r: Rot3) -> Quat:
     if _is_zero(e[2][2] + s):
         raise CertificateError("degenerate rotation: no quaternion preimage")
     return Quat(ctx, zero, zero, zero, Fraction(1))
-
-
-def is_involution(r: Rot3) -> bool:
-    """True for R != I with R^2 = I; exactly the trace = -1 locus."""
-    return values_agree(r.trace(), Fraction(-1))
 
 
 def _canonical_cos(ctx: PrimeCtx, radicand, precision: int):

@@ -310,21 +310,24 @@ def invariance_suite(
 
     One Pearson test per fixed translation g (see haar.invariance_report),
     failing when its p-value is at most alpha.  Below 10 p^2 draws the
-    chi-square tail is no guide, and the check fails as inconclusive with
-    the number of draws it needs: the default 2000 covers p <= 13.
+    chi-square tail is no guide, and the check draws nothing and fails as
+    inconclusive with the number of draws it needs: the default 2000
+    covers p <= 13.
     """
+    translations = _fixed_translations(ctx)
+    needed = haar._draws_needed(ctx.p)
+    if samples < needed:
+        detail = f"inconclusive: n = {samples}, needs at least {needed} draws"
+        return [CheckResult(f"sampler invariance under {label}", False, detail) for label, _ in translations]
     results = []
-    for label, g in _fixed_translations(ctx):
+    for label, g in translations:
         sub = random.Random(rng.getrandbits(64))
         rep = haar.invariance_report(g, samples, sub, digits=digits)
-        if rep.n < rep.needed:
-            ok, detail = False, f"inconclusive: n = {rep.n}, needs at least {rep.needed} draws"
-        else:
-            (chi_c, chi_r), (dof_c, dof_r) = rep.statistic, rep.dof
-            ok, detail = rep.pvalue > alpha, (
-                f"column chi2 = {chi_c:.2f} (dof {dof_c}), row chi2 = {chi_r:.2f} (dof {dof_r}),"
-                f" p = {rep.pvalue:.4g}, n = {rep.n}"
-            )
+        (chi_c, chi_r), (dof_c, dof_r) = rep.statistic, rep.dof
+        ok, detail = rep.pvalue > alpha, (
+            f"column chi2 = {chi_c:.2f} (dof {dof_c}), row chi2 = {chi_r:.2f} (dof {dof_r}),"
+            f" p = {rep.pvalue:.4g}, n = {rep.n}"
+        )
         results.append(CheckResult(f"sampler invariance under {label}", ok, detail))
     return results
 

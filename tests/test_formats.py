@@ -13,7 +13,6 @@ from so3p.formats import (
     format_angles,
     format_matrix_json,
     format_number,
-    format_quat,
     format_rational,
     format_region,
     matrix_from_obj,
@@ -142,11 +141,7 @@ class TestQuaternions:
         assert parse_quat("7", ctx).coords == (7, 0, 0, 0)
         assert parse_quat("i + k", ctx).coords == (0, 1, 0, 1)
         assert parse_quat("-j", ctx).coords == (0, 0, -1, 0)
-
-    def test_roundtrip(self):
-        ctx = canonical_units(7)
-        q = parse_quat("0 + -1/2 i + 3 j + 0 k", ctx)
-        assert parse_quat(format_quat(q), ctx).coords == q.coords
+        assert parse_quat("0 + -1/2 i + 3 j + 0 k", ctx).coords == (0, Fraction(-1, 2), 3, 0)
 
     @pytest.mark.parametrize("bad", ["", "1 +", "2 i + 3 i", "x", "1 2"])
     def test_rejects(self, bad):

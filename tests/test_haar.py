@@ -30,11 +30,10 @@ from so3p.haar import (
     so3_density,
     total_mass,
 )
+from so3p.linalg import Mat
 from so3p.padic import INF, abs_p, canonical_units, valuation
 from so3p.quaternion import quat
-from so3p.rotation import (
-    Angles, Rot3, axis_rotation, cardano_matrix, identity_rotation, quat_to_rotation, so2_compose,
-)
+from so3p.rotation import Angles, Rot3, cardano_matrix, quat_to_rotation, so2_compose
 
 from conftest import Dual, rand_rational, rand_unit
 
@@ -711,7 +710,7 @@ class TestInvariance:
         # the identity is tested like any translation: a column over
         # p(p+1) cells and a row over 2p^2 cells, each on cells - 1 dof
         p = ctx.p
-        report = invariance_report(identity_rotation(ctx), 10 * p * p, random.Random(81), digits=4)
+        report = invariance_report(Rot3(ctx, Mat.identity(3)), 10 * p * p, random.Random(81), digits=4)
         assert report.dof == (p * (p + 1) - 1, 2 * p * p - 1)
         assert report.n == report.needed == 10 * p * p
         assert all(x > 0 for x in report.statistic)
@@ -750,7 +749,7 @@ class TestInvariance:
 
     def test_no_draws_rejected(self, ctx):
         with pytest.raises(ValueError):
-            invariance_report(identity_rotation(ctx), 0, random.Random(85))
+            invariance_report(Rot3(ctx, Mat.identity(3)), 0, random.Random(85))
 
     def test_reduction_commutes_with_product(self):
         # the report reads g R mod p as (g mod p)(R mod p)
@@ -796,14 +795,15 @@ class TestResidueOrbits:
 
     def test_orbits_are_the_sets(self, ctx):
         # onto, and into for the group the generators make: the closure of
-        # e1 under the certified axis rotations at alpha in F_p and inf is
+        # e1 under the certified axis rotations (single-axis chart triples)
+        # at alpha in F_p and inf is
         # exactly C, and that of e3^T acting on the right exactly W
         p = ctx.p
         column, row = self.orbit_sets(ctx)
         assert (len(column), len(row)) == (p * (p + 1), 2 * p * p)
         gens = [
-            residue_matrix(axis_rotation(ctx, axis, t), p)
-            for axis in ctx.AXES
+            residue_matrix(cardano_matrix(ctx, tuple(t if k == slot else 0 for k in range(3))), p)
+            for slot in range(3)
             for t in [*map(F, range(p)), INF]
         ]
 

@@ -19,10 +19,8 @@ from so3p.padic import (
     canonical_units,
     hensel_sqrt,
     is_prime,
-    is_square,
     rational_sqrt,
     square_class,
-    to_approx,
     unit_residue,
     valuation,
     values_agree,
@@ -46,7 +44,7 @@ def test_canonical_units(p):
     assert (ctx.u, ctx.v) == CANONICAL[p] == brute_units(p)
     # v is a unit and not a square, for both congruence classes of p.
     assert valuation(F(ctx.v), p) == 0
-    assert not is_square(F(ctx.v), ctx)
+    assert square_class(F(ctx.v), ctx) is not SquareClass.ONE
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 21, 91])
@@ -125,15 +123,14 @@ def test_unit_residue():
     assert unit_residue(F(18), 3) == 2
 
 
-def test_to_approx_digit_examples():
-    c3 = canonical_units(3)
-    a = to_approx(F(1, 2), c3, 3)
+def test_from_rational_digit_examples():
+    a = PadicApprox.from_rational(F(1, 2), 3, 3)
     assert (a.val, a.digits()) == (0, (2, 1, 1))
-    b = to_approx(F(-1), c3, 3)
+    b = PadicApprox.from_rational(F(-1), 3, 3)
     assert (b.val, b.digits()) == (0, (2, 2, 2))
-    c = to_approx(F(9), c3, 2)
+    c = PadicApprox.from_rational(F(9), 3, 2)
     assert (c.val, c.digits()) == (2, (1, 0))
-    z = to_approx(F(0), c3, 5)
+    z = PadicApprox.from_rational(F(0), 3, 5)
     assert z.is_zero
 
 
@@ -143,23 +140,22 @@ def test_approx_arithmetic_matches_exact(p):
     rng = random.Random(7 * p)
     for _ in range(150):
         x, y = rand_rational(rng, p), rand_rational(rng, p)
-        ax, ay = to_approx(x, ctx, 12), to_approx(y, ctx, 12)
+        ax, ay = PadicApprox.from_rational(x, ctx.p, 12), PadicApprox.from_rational(y, ctx.p, 12)
         assert (ax * ay).congruent(x * y)
         assert (ax / ay).congruent(x / y)
         assert (ax + ay).congruent(x + y)
         assert (-ax).congruent(-x)
-        assert (ax**2).congruent(x * x)
+        assert (ax * ax).congruent(x * x)
 
 
 def test_cancellation_digit_loss():
-    c3 = canonical_units(3)
-    a = to_approx(F(244), c3, 8)  # 1 + 3**5
-    b = to_approx(F(1), c3, 8)
+    a = PadicApprox.from_rational(F(244), 3, 8)  # 1 + 3**5
+    b = PadicApprox.from_rational(F(1), 3, 8)
     d = a - b
     # Valuation jumps by 5, so 5 of the 8 known digits are gone.
     assert (d.val, d.mant, d.n) == (5, 1, 3)
     # Total cancellation collapses to the canonical zero.
-    assert (to_approx(F(1), c3, 4) - to_approx(F(1 + 3**6), c3, 4)).is_zero
+    assert (PadicApprox.from_rational(F(1), 3, 4) - PadicApprox.from_rational(F(1 + 3**6), 3, 4)).is_zero
 
 
 def fraction_from_rational(x, p, n):
@@ -394,8 +390,7 @@ def test_coercion_against_the_exact_zero_keeps_one_digit():
 
 
 def test_approx_mixed_operand_and_validation():
-    c3 = canonical_units(3)
-    a = to_approx(F(1, 2), c3, 6)
+    a = PadicApprox.from_rational(F(1, 2), 3, 6)
     assert (a + F(1, 2)).congruent(F(1))
     assert (F(2) * a).congruent(F(1))
     assert (1 / a).congruent(F(2))
@@ -446,7 +441,7 @@ def test_hensel_sqrt_properties(p):
         v = valuation(a, p)
         assert r.val == v // 2
         # The approx input path agrees with the exact path.
-        r2 = hensel_sqrt(to_approx(a, ctx, n), ctx, n)
+        r2 = hensel_sqrt(PadicApprox.from_rational(a, ctx.p, n), ctx, n)
         assert r2 == r
 
 
@@ -468,10 +463,9 @@ def test_infinity_singleton():
 
 
 def test_values_agree():
-    c3 = canonical_units(3)
     assert values_agree(F(1, 2), F(1, 2))
     assert not values_agree(F(1, 2), F(1, 3))
-    a = to_approx(F(5), c3, 4)
+    a = PadicApprox.from_rational(F(5), 3, 4)
     assert values_agree(a, F(5))
     assert values_agree(F(5), a)
     assert not values_agree(a, F(6))

@@ -34,18 +34,20 @@ from so3p.rotation import (
     Angles,
     Rot3,
     angles_to_quat,
-    axis_rotation,
     cardano_matrix,
     decompose_cardano,
-    identity_rotation,
-    is_involution,
     quat_to_rotation,
     rotation_to_quat,
     so2_compose,
-    so2_make,
-    so2_param,
 )
-from so3p.rotation import AXIS_SLOTS, _axis_block, _block_mat, _capped_product, _cardano_product
+from so3p.rotation import (
+    _block_entries,
+    _block_ints,
+    _capped_product,
+    _cardano_product,
+    _pair_param,
+    _so2_entries,
+)
 
 from conftest import rand_rational
 
@@ -139,6 +141,19 @@ def flip(ctx, angles):
     )
 
 
+def identity(ctx):
+    return Rot3(ctx, Mat.identity(3))
+
+
+def so2_block(d, t) -> Mat:
+    """R_d(t) as a 2x2 Mat: the entries _so2_entries gives a finite t, or
+    -I for INF."""
+    if t is INF:
+        return Mat.identity(2).scale(Fraction(-1))
+    c, b, s = _so2_entries(Fraction(d), t)
+    return Mat(((c, b), (s, c)))
+
+
 @pytest.fixture(autouse=True)
 def decompositions_rebuild_certified(monkeypatch):
     """decompose_cardano checks its triple against an uncertified product.
@@ -157,22 +172,31 @@ def decompositions_rebuild_certified(monkeypatch):
 class TestSo2:
     def test_zero_is_identity(self, ctx):
         for d in ctx.so2_catalog().values():
-            assert so2_make(ctx, d, 0).mat == Mat.identity(2)
+            assert so2_block(d, 0) == Mat.identity(2)
 
     def test_infinity_is_minus_identity(self, ctx):
+        # the chart's integer block at INF, and the product of two blocks
+        # whose composite parameter is the pole 1 - d a b = 0
+        rng = random.Random(7 + ctx.p)
+        minus_one = Mat.identity(2).scale(Fraction(-1))
         for d in ctx.so2_catalog().values():
-            assert so2_make(ctx, d, INF).mat == Mat.identity(2).scale(Fraction(-1))
+            c, b, s, den = _block_ints(d, INF)
+            assert Mat.from_numerators(((c, b), (s, c)), den) == minus_one
+            a = rand_rational(rng, ctx.p)
+            assert so2_compose(ctx, d, a, 1 / (d * a)) is INF
+            assert so2_block(d, a) * so2_block(d, 1 / (d * a)) == minus_one
 
     def test_frozen_quarter_turn(self):
         ctx = canonical_units(3)
-        assert so2_make(ctx, 1, 1).mat.rows == ((0, -1), (1, 0))
+        assert ctx.d_z == 1
+        assert so2_block(ctx.d_z, 1).rows == ((0, -1), (1, 0))
 
     def test_blocks_are_special_isometries(self, ctx):
         rng = random.Random(11 + ctx.p)
         for d in ctx.so2_catalog().values():
             form = so2_form(ctx, d)
             for _ in range(15):
-                m = so2_make(ctx, d, rand_rational(rng, ctx.p)).mat
+                m = so2_block(d, rand_rational(rng, ctx.p))
                 assert is_special_isometry(m, form)
 
     def test_compose_against_matrix_product(self, ctx):
@@ -181,8 +205,8 @@ class TestSo2:
         for d in ctx.so2_catalog().values():
             for a in params:
                 for b in params:
-                    prod = so2_make(ctx, d, a).mat * so2_make(ctx, d, b).mat
-                    assert so2_make(ctx, d, so2_compose(ctx, d, a, b)).mat == prod
+                    prod = so2_block(d, a) * so2_block(d, b)
+                    assert so2_block(d, so2_compose(ctx, d, a, b)) == prod
 
     def test_compose_conventions(self, ctx):
         d = ctx.d_z
@@ -197,19 +221,22 @@ class TestSo2:
         assert so2_compose(ctx, 1, 1, 1) is INF
 
     def test_param_round_trip(self, ctx):
+        # decompose_cardano reads each axis parameter back as s / (1 + c)
         rng = random.Random(17 + ctx.p)
         for d in ctx.so2_catalog().values():
             for a in [rand_rational(rng, ctx.p) for _ in range(10)] + [Fraction(0), INF]:
-                assert so2_param(so2_make(ctx, d, a).mat, ctx, d) == a
+                (c, _), (s, _) = so2_block(d, a).rows
+                assert _pair_param(c, s, exact=True) == a
 
     def test_param_certificate(self, ctx):
+        # the SO(2) certificate: a shear preserves no catalog form
         bad = Mat(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
-        with pytest.raises(CertificateError):
-            so2_param(bad, ctx, ctx.d_z)
+        for d in ctx.so2_catalog().values():
+            assert not is_special_isometry(bad, so2_form(ctx, d))
 
     def test_catalog_is_enforced(self, ctx):
         with pytest.raises(ValueError):
-            so2_make(ctx, Fraction(5 if ctx.p != 5 else 7), 1)
+            so2_compose(ctx, Fraction(5 if ctx.p != 5 else 7), 1, 1)
 
     def test_capped_parameter_with_no_known_denominator(self, ctx):
         # 1 + d alpha^2 keeps no digit: 0 + O(p^0) on the unit d of z, and
@@ -217,25 +244,24 @@ class TestSo2:
         p = ctx.p
         for d, known in ((ctx.d_z, 0), (ctx.d_y, -1)):
             with pytest.raises(PrecisionExhausted):
-                so2_make(ctx, d, PadicApprox.zero(p, known))
+                _so2_entries(d, PadicApprox.zero(p, known))
         with pytest.raises(PrecisionExhausted):
             cardano_matrix(ctx, (PadicApprox.zero(p, 0), INF, Fraction(-9, 8)))
         # one more known digit of alpha leaves the identity to O(p^2) and O(p)
-        (c, b), (s, c2) = so2_make(ctx, ctx.d_z, PadicApprox.zero(p, 1)).mat.rows
-        assert c == c2 == PadicApprox(p=p, val=0, mant=1, n=2)
+        c, b, s = _so2_entries(ctx.d_z, PadicApprox.zero(p, 1))
+        assert c == PadicApprox(p=p, val=0, mant=1, n=2)
         assert b == s == PadicApprox.zero(p, 1)
 
 
 class TestCardano:
     def test_identity_triple(self, ctx):
-        assert cardano_matrix(ctx, (0, 0, 0)) == identity_rotation(ctx)
+        assert cardano_matrix(ctx, (0, 0, 0)) == identity(ctx)
 
     def test_single_axis_triples(self, ctx):
         rng = random.Random(19 + ctx.p)
         a = rand_rational(rng, ctx.p)
-        assert cardano_matrix(ctx, (a, 0, 0)) == axis_rotation(ctx, "z", a)
-        assert cardano_matrix(ctx, (0, a, 0)) == axis_rotation(ctx, "y", a)
-        assert cardano_matrix(ctx, (0, 0, a)) == axis_rotation(ctx, "x", a)
+        for axis, t in zip("zyx", ((a, 0, 0), (0, a, 0), (0, 0, a))):
+            assert cardano_matrix(ctx, t).mat.rows == hand_embedded(ctx, axis, a)
 
     def test_entries_against_transcribed_formulas(self, ctx):
         rng = random.Random(23 + ctx.p)
@@ -244,11 +270,11 @@ class TestCardano:
             assert cardano_matrix(ctx, t).mat.rows == entry_oracle(ctx, *t)
 
     def test_integer_blocks_match_axis_product(self, ctx):
-        # the integer block kernel against the so2_make block path
+        # the integer block kernel against the _so2_entries blocks
         rng = random.Random(37 + ctx.p)
         for _ in range(40):
             t = rand_triple(rng, ctx, inf_rate=0.3)
-            z, y, x = (axis_rotation(ctx, a, s).mat for a, s in zip("zyx", t))
+            z, y, x = (Mat(hand_embedded(ctx, a, s)) for a, s in zip("zyx", t))
             assert cardano_matrix(ctx, t).mat == z * y * x
 
     def test_sine_of_beta_entry(self, ctx):
@@ -276,13 +302,13 @@ class TestCardano:
         r = cardano_matrix(ctx, rand_triple(rng, ctx))
         s = cardano_matrix(ctx, rand_triple(rng, ctx, inf_rate=0.3))
         assert (r * s).mat == r.mat * s.mat
-        assert r * r.inverse() == identity_rotation(ctx)
-        assert r.inverse() * r == identity_rotation(ctx)
+        assert r * r.inverse() == identity(ctx)
+        assert r.inverse() * r == identity(ctx)
 
 
 class TestQuatIso:
     def test_scalar_maps_to_identity(self, ctx):
-        assert quat_to_rotation(quat(ctx, 7)) == identity_rotation(ctx)
+        assert quat_to_rotation(quat(ctx, 7)) == identity(ctx)
 
     def test_frozen_value(self):
         # Worked longhand: conjugation by 1 + i sends i -> i, j -> k,
@@ -387,6 +413,15 @@ class TestAnglesToQuat:
                 assert any(isinstance(c, PadicApprox) for c in got)
                 assert all(c == w if type(c) is Fraction else c.congruent(w) for c, w in zip(got, want))
 
+    def test_capped_quaternion_has_no_conjugation_action(self):
+        # the conjugation action works on integer coordinates; a capped
+        # quaternion once reached clear_denominators and raised AttributeError
+        ctx = canonical_units(5)
+        x = angles_to_quat(ctx, (INF, PadicApprox(p=5, val=0, mant=7, n=3), 0))
+        for action in (quat_to_rotation, conj_action_matrix):
+            with pytest.raises(ValueError, match="exact"):
+                action(x)
+
     def test_grand_consistency(self, ctx):
         rng = random.Random(61 + ctx.p)
         for _ in range(30):
@@ -405,11 +440,11 @@ class TestAnglesToQuat:
 
 class TestRotationToQuat:
     def test_identity(self, ctx):
-        assert rotation_to_quat(identity_rotation(ctx)) == quat(ctx, 1)
+        assert rotation_to_quat(identity(ctx)) == quat(ctx, 1)
 
     def test_z_rotation(self, ctx):
         a = Fraction(3, 7)
-        assert rotation_to_quat(axis_rotation(ctx, "z", a)) == quat(ctx, 1, -a)
+        assert rotation_to_quat(cardano_matrix(ctx, (a, 0, 0))) == quat(ctx, 1, -a)
 
     def test_round_trip_from_quat(self, ctx):
         rng = random.Random(71 + ctx.p)
@@ -436,30 +471,35 @@ class TestRotationToQuat:
 
 
 class TestInvolution:
+    """Involutions, R != I with R^2 = I, are the rotations of pure
+    quaternions: rotation_to_quat gives them q0 = 0."""
+
     def test_conjugation_by_i(self, ctx):
         r = quat_to_rotation(quat(ctx, 0, 1))
         assert r.mat == Mat.diagonal((Fraction(-1), Fraction(-1), Fraction(1)))
-        assert is_involution(r)
-        assert r * r == identity_rotation(ctx)
+        assert r * r == identity(ctx)
+        assert rotation_to_quat(r).q0 == 0
 
     def test_identity_is_not(self, ctx):
-        assert not is_involution(identity_rotation(ctx))
+        assert rotation_to_quat(identity(ctx)).q0 != 0
 
     def test_generic_rotation_is_not(self):
         ctx = canonical_units(3)
-        assert not is_involution(cardano_matrix(ctx, (1, 0, 0)))
+        r = cardano_matrix(ctx, (1, 0, 0))
+        assert r * r != identity(ctx)
+        assert rotation_to_quat(r).q0 != 0
 
     def test_involution_locus(self, ctx):
         t = Angles(Fraction(1), Fraction(1), Fraction(1, ctx.p))
         r = cardano_matrix(ctx, t)
-        assert is_involution(r)
-        assert r * r == identity_rotation(ctx)
+        assert r != identity(ctx)
+        assert r * r == identity(ctx)
         assert rotation_to_quat(r).q0 == 0
 
 
 class TestDecompose:
     def test_identity(self, ctx):
-        assert decompose_cardano(identity_rotation(ctx)) == Angles(0, 0, 0)
+        assert decompose_cardano(identity(ctx)) == Angles(0, 0, 0)
 
     def test_frozen_round_trip_p5(self):
         ctx = canonical_units(5)
@@ -839,13 +879,19 @@ def hand_axis(ctx, axis):
     }[axis]
 
 
-def hand_embedded(ctx, axis, t):
-    """so2_make's block for the axis, written into the 3x3 identity by hand."""
-    d, (i, j) = hand_axis(ctx, axis)
-    (c, ms), (s, c2) = so2_make(ctx, d, t).mat.rows
+def pad(ctx, axis, c, b, s) -> Mat:
+    """The block [[c, b], [s, c]] written into the 3x3 identity by hand, at
+    the axis's rows and columns."""
+    i, j = hand_axis(ctx, axis)[1]
     rows = [list(r) for r in Mat.identity(3).rows]
-    rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, ms, s, c2
-    return tuple(tuple(r) for r in rows)
+    rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, b, s, c
+    return Mat(rows)
+
+
+def hand_embedded(ctx, axis, t):
+    """so2_block's entries for the axis, padded to 3x3, as rows."""
+    (c, b), (s, _) = so2_block(hand_axis(ctx, axis)[0], t).rows
+    return pad(ctx, axis, c, b, s).rows
 
 
 def mixed_param(rng, ctx, kind):
@@ -861,11 +907,15 @@ def mixed_param(rng, ctx, kind):
 class TestAxisBlocks:
     @pytest.mark.parametrize("kind", ["rational", "inf", "capped"])
     def test_axis_rotation_is_the_hand_embedded_block(self, ctx, kind):
+        # the rotation about one axis is the chart triple with 0 in the
+        # other two slots; capped entries agree digitwise, as the chart's
+        # product with the exact blocks of 0 makes exact zeros capped
         rng = random.Random(41 + ctx.p)
         for _ in range(10):
-            for axis in "zyx":
+            for slot, axis in enumerate("zyx"):
                 t = mixed_param(rng, ctx, kind)
-                assert axis_rotation(ctx, axis, t).mat.rows == hand_embedded(ctx, axis, t)
+                triple = tuple(t if k == slot else 0 for k in range(3))
+                assert cardano_matrix(ctx, triple).mat.agrees(Mat(hand_embedded(ctx, axis, t)))
 
     @pytest.mark.parametrize("capped", [1, 2, 3])
     def test_capped_parameters_keep_the_entry_product(self, ctx, capped):
@@ -909,9 +959,9 @@ class TestClosedFormProduct:
                     for kind in kinds
                 ))
                 got = cardano_matrix(ctx, t).mat.integer_form()
-                z, y, x = (axis_rotation(ctx, axis, s).mat for axis, s in zip("zyx", t))
+                z, y, x = (pad(ctx, axis, *_block_entries(ctx, axis, s)) for axis, s in zip("zyx", t))
                 assert got == (z * y * x).integer_form(), t
-                # so2_make's blocks, multiplied in Fractions: shares no
+                # _so2_entries' blocks, multiplied in Fractions: shares no
                 # integer kernel with the closed form
                 hand = [Mat(hand_embedded(ctx, axis, s)) for axis, s in zip("zyx", t)]
                 assert got == clear_denominators(fraction_product(hand)), t
@@ -923,7 +973,7 @@ def entry_key(e):
 
 class TestCappedProduct:
     """The capped branch of the chart, written out from the 2x2 blocks,
-    against z * y * x of _axis_block's padded 3x3 matrices in Mat's entry
+    against z * y * x of the blocks padded to 3x3 by hand in Mat's entry
     path: entry by entry, the same type, valuation, mantissa and digit
     count."""
 
@@ -949,7 +999,7 @@ class TestCappedProduct:
         for t in itertools.product(self.params(p), repeat=3):
             if not any(isinstance(s, PadicApprox) for s in t):
                 continue
-            z, y, x = (_block_mat(*_axis_block(ctx, axis, s)) for axis, s in zip("zyx", t))
+            z, y, x = (pad(ctx, axis, *_block_entries(ctx, axis, s)) for axis, s in zip("zyx", t))
             want = [entry_key(e) for r in (z * y * x).rows for e in r]
             got = [entry_key(e) for r in _cardano_product(ctx, t).rows for e in r]
             assert got == want, t
@@ -971,17 +1021,13 @@ class TestCappedProduct:
         """Entries no parameter gives, such as negative valuations or an
         exact diagonal beside capped off-diagonals: with them, padding
         terms that parameters leave idle decide digit counts."""
+        ctx = canonical_units(p)
         rng = random.Random(f"capped-product:{p}")
         for _ in range(400):
             blocks = [tuple(self.entry(rng, p, k == 0) for k in range(3)) for _ in range(3)]
             if not any(isinstance(e, PadicApprox) for b in blocks for e in b):
                 continue
-            padded = []
-            for (i, j), (c, b, s) in zip(AXIS_SLOTS.values(), blocks):
-                rows = [list(r) for r in Mat.identity(3).rows]
-                rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, b, s, c
-                padded.append(Mat(rows))
-            z, y, x = padded
+            z, y, x = (pad(ctx, axis, *block) for axis, block in zip("zyx", blocks))
             want = [entry_key(e) for r in (z * y * x).rows for e in r]
             got = [entry_key(e) for r in _capped_product(*blocks) for e in r]
             assert got == want, blocks
@@ -1001,18 +1047,18 @@ def known_to(x):
 class TestInverse:
     def test_exact_matches_products(self, ctx):
         rng = random.Random(47 + ctx.p)
-        identity = identity_rotation(ctx)
+        one = identity(ctx)
         for i in range(30):
             r = quat_to_rotation(rand_quat(rng, ctx)) if i % 2 else cardano_matrix(ctx, rand_triple(rng, ctx, 0.3))
             inv = r.inverse()
             assert inv.mat.integer_form() is not None
             assert inv.mat.rows == inverse_by_products(r).mat.rows
-            assert r * inv == identity and inv * r == identity
+            assert r * inv == one and inv * r == one
             assert inv.inverse() == r
 
     def test_capped_agrees_with_products_and_knows_no_less(self, ctx):
         rng = random.Random(53 + ctx.p)
-        identity = identity_rotation(ctx).mat
+        one = identity(ctx).mat
         for _ in range(30):
             kinds = [rng.choice(("rational", "inf", "capped")) for _ in range(3)]
             kinds[rng.randrange(3)] = "capped"
@@ -1024,7 +1070,7 @@ class TestInverse:
                 assert known_to(got) >= known_to(old)
             # exact scalings by g_j / g_i and back lose no digit
             assert inv.inverse().mat.rows == r.mat.rows
-            assert (r * inv).mat.agrees(identity) and (inv * r).mat.agrees(identity)
+            assert (r * inv).mat.agrees(one) and (inv * r).mat.agrees(one)
 
     def test_inverse_is_certified(self, ctx, monkeypatch):
         calls = []

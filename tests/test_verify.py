@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from so3p import cli
+from so3p import cli, haar
 from so3p.padic import canonical_units
 from so3p.verify import (
     SUITE_NAMES,
@@ -39,6 +39,18 @@ def test_invariance_below_the_draw_floor_is_inconclusive(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.count("FAIL") == 3 and "inconclusive" in out
+
+
+def test_invariance_below_the_draw_floor_draws_nothing(monkeypatch):
+    # p = 17 needs 2890 draws, more than the default 2000
+    def no_draws(*args):
+        raise AssertionError("an inconclusive check drew a rotation")
+
+    monkeypatch.setattr(haar, "_draw_so3", no_draws)
+    results = run_suites(canonical_units(17), ["invariance"])
+    assert [(r.passed, r.detail) for r in results] == [
+        (False, "inconclusive: n = 2000, needs at least 2890 draws")
+    ] * 3
 
 
 def test_names_are_unique():
