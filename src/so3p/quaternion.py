@@ -83,19 +83,21 @@ def _product(v: int, p: int, a, b) -> tuple:
     )
 
 
-def _all_rational(rows) -> bool:
-    return all(type(e) is Fraction or type(e) is int for r in rows for e in r)
-
-
 @dataclass(frozen=True)
 class Quat:
-    """A quaternion q0 + q1 i + q2 j + q3 k with exact rational coordinates."""
+    """A quaternion q0 + q1 i + q2 j + q3 k with exact rational coordinates,
+    each a Fraction or an int: a capped-precision one raises ValueError."""
 
     ctx: PrimeCtx
     q0: Fraction
     q1: Fraction
     q2: Fraction
     q3: Fraction
+
+    def __post_init__(self):
+        for c in (self.q0, self.q1, self.q2, self.q3):
+            if type(c) is not Fraction and type(c) is not int:
+                raise ValueError(f"Quat needs exact (rational) quaternion coordinates, got {type(c).__name__}")
 
     @property
     def coords(self) -> tuple:
@@ -119,14 +121,9 @@ class Quat:
         if not isinstance(other, Quat):
             return self.scale(other)
         self._check(other)
-        v, p = self.ctx.v, self.ctx.p
-        rows = (self.coords, other.coords)
-        if not _all_rational(rows):
-            # capped-precision coordinates: the same formula on the entries
-            return Quat(self.ctx, *_product(v, p, *rows))
-        ints, den = clear_denominators(rows)
+        ints, den = clear_denominators((self.coords, other.coords))
         den *= den
-        return Quat(self.ctx, *(Fraction(c, den) for c in _product(v, p, *ints)))
+        return Quat(self.ctx, *(Fraction(c, den) for c in _product(self.ctx.v, self.ctx.p, *ints)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -149,7 +146,7 @@ class Quat:
     def inverse(self) -> "Quat":
         if self.is_zero:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conj().scale(1 / self.nrd())
+        return self.conj().scale(Fraction(1) / self.nrd())
 
     def proportional(self, other: "Quat") -> bool:
         """True when the two quaternions differ by a nonzero rational scalar."""
@@ -157,7 +154,7 @@ class Quat:
         if self.is_zero or other.is_zero:
             return False
         pivot = next(idx for idx, c in enumerate(other.coords) if c)
-        lam = self.coords[pivot] / other.coords[pivot]
+        lam = Fraction(self.coords[pivot]) / other.coords[pivot]
         return lam != 0 and all(a == lam * b for a, b in zip(self.coords, other.coords))
 
     def _check(self, other: "Quat"):
@@ -202,13 +199,8 @@ def conj_action_matrix(x: Quat) -> Mat:
 
 def _conj_action_ints(x: Quat) -> tuple:
     """(N, n): conj_action_matrix(x) is N / n, with N the nine unreduced
-    integer numerators and n the nrd of x scaled to integer coordinates.
-
-    Capped-precision coordinates have no integer form: ValueError."""
-    try:
-        ((q0, q1, q2, q3),), _ = clear_denominators((x.coords,))
-    except AttributeError:  # a coordinate with no numerator or denominator
-        raise ValueError("the conjugation action needs exact (rational) quaternion coordinates") from None
+    integer numerators and n the nrd of x scaled to integer coordinates."""
+    ((q0, q1, q2, q3),), _ = clear_denominators((x.coords,))
     v, p = x.ctx.v, x.ctx.p
     s0, s1, s2, s3 = q0 * q0, v * q1 * q1, p * q2 * q2, v * p * q3 * q3
     n = s0 - s1 + s2 - s3

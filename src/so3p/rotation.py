@@ -22,7 +22,6 @@ Conventions fixed here once and used everywhere else:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -291,10 +290,10 @@ def _lambda_ratios(ctx: PrimeCtx) -> tuple:
     return table(lambda_matrix(ctx)), table(lambda_inverse(ctx))
 
 
-def _antidiagonal_conjugate(rows, ratios, times=operator.mul) -> list:
+def _antidiagonal_conjugate(rows, ratios) -> list:
     # For antidiagonal A with A[i][2-i] = lam_i, (A M A^-1)[i][j] is
     # (lam_i / lam_j) M[2-i][2-j]: a signed, scaled permutation of M.
-    return [[times(e, f) for f, e in zip(fr, reversed(r))] for fr, r in zip(ratios, reversed(rows))]
+    return [[e * f for f, e in zip(fr, reversed(r))] for fr, r in zip(ratios, reversed(rows))]
 
 
 def quat_to_rotation(x: Quat) -> Rot3:
@@ -314,12 +313,13 @@ def quat_to_rotation(x: Quat) -> Rot3:
 
 
 def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
-    """Projective quaternion of a Cardano triple.
+    """Projective quaternion of a Cardano triple of exact angles.
 
-    Finite triples use the homogeneous quadruple
+    Each slot is a rational or INF; a capped-precision slot raises
+    ValueError.  Finite triples use the homogeneous quadruple
     [1 - p*a*b*g : (p/v)*b*g - a : b - a*g : g/v - a*b], which is never
-    the zero class.  For rationals a = a'/A, b = b'/B and g = g'/G it is
-    the integer quadruple
+    the zero class.  For a = a'/A, b = b'/B and g = g'/G it is the
+    integer quadruple
     (ABG - p a'b'g', p b'g'A - v a'BG, b'AG - a'g'B, g'AB - v a'b'G)
     over (ABG, v ABG, ABG, v ABG).  An infinite coordinate replaces the
     corresponding factor of (1 - a i)(1 + b j)(1 + (g/v) k) by the bare
@@ -339,25 +339,12 @@ def angles_to_quat(ctx: PrimeCtx, angles) -> Quat:
             Fraction(b * da * dg - a * g * db, den),
             Fraction(g * da * db - v * a * b * dg, vden),
         )
-    if not any(isinstance(t, Infinity) for t in (alpha, beta, gamma)):
-        return Quat(
-            ctx,
-            1 - p * alpha * beta * gamma,
-            Fraction(p, v) * beta * gamma - alpha,
-            beta - alpha * gamma,
-            gamma / v - alpha * beta,
-        )
-    # the factors are built from their coordinates, so a capped angle
-    # beside an infinite one stays a PadicApprox
+    # a capped slot becomes a coordinate of its factor, which Quat refuses
     o, z = Fraction(1), Fraction(0)
     f1 = Quat(ctx, z, o, z, z) if isinstance(alpha, Infinity) else Quat(ctx, o, -alpha, z, z)
     f2 = Quat(ctx, z, z, o, z) if isinstance(beta, Infinity) else Quat(ctx, o, z, beta, z)
     f3 = Quat(ctx, z, z, z, o) if isinstance(gamma, Infinity) else Quat(ctx, o, z, z, gamma / v)
     return f1 * f2 * f3
-
-
-def _quotient(a, b):
-    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
 
 
 def _times(x, f: int):
@@ -367,40 +354,41 @@ def _times(x, f: int):
 
 
 def rotation_to_quat(r: Rot3) -> Quat:
-    """Projective quaternion of a rotation, inverse to quat_to_rotation.
+    """Projective quaternion of an exact rotation, inverse to quat_to_rotation.
 
     Normalized so q0 = 1, or the first nonzero coordinate is 1 when the
-    scalar part vanishes (involutions).
+    scalar part vanishes (involutions).  A rotation with capped-precision
+    entries raises ValueError.
     """
     ctx = r.ctx
     v, p = ctx.v, ctx.p
-    # K = Lambda^-1 R Lambda is e / s: integers over the integer form of R,
-    # entries scaled one by one for other entry types.
-    num, den = r.mat.integer_form() or (r.mat.rows, 1)
+    if not (form := r.mat.integer_form()):
+        raise ValueError("rotation_to_quat needs a rotation with exact (rational) entries")
+    num, den = form
+    # K = Lambda^-1 R Lambda is e / s: integers over the integer form of R.
     _, to_quat = _lambda_ratios(ctx)
-    e = _antidiagonal_conjugate(num, to_quat, _times)
+    e = _antidiagonal_conjugate(num, to_quat)
     s = v * p * den
     # trace(K) + 1 = 4 q0^2 / nrd; the antisymmetric combinations below
     # recover q0*q1, q0*q2, q0*q3 over the same denominator.
     t = e[0][0] + e[1][1] + e[2][2] + s
-    if not _is_zero(t):
+    if t:
         return Quat(
             ctx,
             Fraction(1),
-            _quotient(_times(e[2][1], v) + e[1][2], _times(t, v)),
-            _quotient(e[0][2] - _times(e[2][0], p), _times(t, p)),
-            _quotient(-(_times(e[0][1], v) + _times(e[1][0], p)), _times(t, p * v)),
+            Fraction(v * e[2][1] + e[1][2], v * t),
+            Fraction(e[0][2] - p * e[2][0], p * t),
+            Fraction(-(v * e[0][1] + p * e[1][0]), p * v * t),
         )
     # q0 = 0: diagonal entries give squares, off-diagonal give products.
     zero = Fraction(0)
     b1 = e[0][0] + s
-    if not _is_zero(b1):
-        pb1 = _times(b1, p)
-        return Quat(ctx, zero, Fraction(1), _quotient(_times(e[0][1], -v), pb1), _quotient(e[0][2], pb1))
+    if b1:
+        return Quat(ctx, zero, Fraction(1), Fraction(-v * e[0][1], p * b1), Fraction(e[0][2], p * b1))
     b2 = e[1][1] + s
-    if not _is_zero(b2):
-        return Quat(ctx, zero, zero, Fraction(1), _quotient(-e[1][2], _times(b2, v)))
-    if _is_zero(e[2][2] + s):
+    if b2:
+        return Quat(ctx, zero, zero, Fraction(1), Fraction(-e[1][2], v * b2))
+    if e[2][2] + s == 0:
         raise CertificateError("degenerate rotation: no quaternion preimage")
     return Quat(ctx, zero, zero, zero, Fraction(1))
 

@@ -11,7 +11,8 @@ exact Haar law, and fails as inconclusive below 10 p^2 draws.
 Suites: algebra (quaternion arithmetic laws), iso (the conjugation map
 into 3x3 isometries and the nautical-angle chart round trip), jacobian
 (chart derivative against its factorized absolute value), measure (closed
-mass totals and exact translation invariance of the integrator), and
+mass totals, and exact translation invariance of the integrator with each
+translated ball checked point by point), and
 invariance (sampler residues mod p, translated, against their exact law).
 """
 
@@ -34,7 +35,7 @@ from .linalg import (
 )
 from .padic import INF, PrimeCtx, abs_p, valuation
 from .quaternion import Quat, conj_action_matrix, left_regular, quat
-from .rotation import Angles, cardano_matrix, decompose_cardano, quat_to_rotation
+from .rotation import Angles, cardano_matrix, decompose_cardano, quat_to_rotation, so2_compose
 
 __all__ = [
     "CheckResult",
@@ -245,7 +246,9 @@ def unit_quotient_check(ctx: PrimeCtx, samples: int, rng: random.Random) -> Chec
 
 
 def measure_suite(ctx: PrimeCtx, samples: int, rng: random.Random) -> list[CheckResult]:
-    """Mass totals in closed form and exact invariance under translation."""
+    """Mass totals in closed form and exact invariance under translation:
+    a ball and its mobius_image have one mass, and so2_compose sends points
+    of the ball into the image and points outside it out of the image."""
     p = ctx.p
     results = []
 
@@ -276,12 +279,25 @@ def measure_suite(ctx: PrimeCtx, samples: int, rng: random.Random) -> list[Check
         alpha0 = INF if rng.randrange(12) == 0 else _rand_rational(rng, p)
         center = _rand_rational(rng, p, vmin=-2, vmax=2)
         k = rng.randrange(-3, 4)
-        return d, alpha0, haar.BallQp(center, k)
+        # a point of the ball and a point drawn wider, mostly outside it
+        points = (center + Fraction(p) ** k * rng.randrange(p**4), _rand_rational(rng, p, vmin=-4, vmax=4))
+        return d, alpha0, haar.BallQp(center, k), points
 
-    def test(d, alpha0, ball):
-        before = haar.integrate_so2(ctx, d, haar.RegionQp(p, balls=(ball,)))
-        after = haar.integrate_so2(ctx, d, haar.mobius_image(ctx, d, alpha0, ball))
-        return before == after, f"d={d}, alpha0={alpha0}, ball=({ball.center},{ball.k}): {before} vs {after}"
+    def test(d, alpha0, ball, points):
+        where = f"d={d}, alpha0={alpha0}, ball=({ball.center},{ball.k})"
+        region = haar.RegionQp(p, balls=(ball,))
+        image = haar.mobius_image(ctx, d, alpha0, ball)
+        before, after = haar.integrate_so2(ctx, d, region), haar.integrate_so2(ctx, d, image)
+        if before != after:
+            return False, f"{where}: {before} vs {after}"
+        # the image holds the translate of every point of the ball and of
+        # no point outside it; a point sent to INF is skipped, as no region
+        # holds INF
+        for point in points:
+            tau = so2_compose(ctx, d, alpha0, point)
+            if tau is not INF and image.contains(tau) != region.contains(point):
+                return False, f"{where}: {point} goes to {tau}"
+        return True, ""
 
     results.append(_check("translation preserves ball mass", samples, draw, test))
     return results

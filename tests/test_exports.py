@@ -37,7 +37,6 @@ def test_import_maps_no_openssl():
 # Exports with no caller in the package, the benchmark or the README quick
 # tour, each kept for a reason of its own.
 KEPT = {
-    "so2_compose": "the point-level oracle that the mobius_image tests compose with",
     "sample_so3": "the one-draw form of sample_so3_batch's law, which invariance_report follows draw for draw",
 }
 

@@ -42,3 +42,24 @@ def test_unpatched_sampler_passes_invariance(capsys, p):
     assert code == 0, lines
     assert len(lines) == 3
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.fixture
+def identity_mobius(monkeypatch):
+    """A translation that leaves every ball where it was: the image keeps
+    the ball's mass, so only the points can tell."""
+    monkeypatch.setattr(haar, "mobius_image", lambda ctx, d, alpha0, ball: haar.RegionQp(ctx.p, balls=(ball,)))
+
+
+def test_identity_mobius_fails_translation(capsys, identity_mobius):
+    code, lines = verify(capsys, 5, "measure")
+    assert code == 1
+    assert len(lines) == 7
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL translation preserves ball mass: counterexample"), lines
+
+
+def test_unpatched_mobius_passes_translation(capsys):
+    code, lines = verify(capsys, 5, "measure")
+    assert code == 0, lines
+    assert "PASS translation preserves ball mass: 40 samples, exact" in lines
